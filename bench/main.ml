@@ -392,78 +392,98 @@ let run_gp () =
 
 (* ---- incremental re-timing --------------------------------------------------- *)
 
-(* Runs the paper's area-minimisation solve twice — once re-timing every
-   candidate from scratch, once through a shared Sta.Incr engine — and
-   checks that the whole solver trajectory is bit-identical while only a
-   fraction of the gates is re-evaluated per analysis.  Exits non-zero
-   if the two solves diverge or the mean dirty-gate fraction reaches
-   1.0 (i.e. the incremental path degenerated to full sweeps), so CI
+(* Sta.Incr serves the daemon's analyze, whatif and gradient requests:
+   sparse edits against a committed sizing.  Replays a stream of whatif
+   deltas of 1-8 gates on apex1* and k2* through one warmed engine —
+   [Incr.analyze] and [Incr.value_and_gradient] (mu + 3 sigma) — and
+   checks every value and gradient bit against a from-scratch arena
+   sweep.  Exits non-zero if any bit differs or the mean dirty-gate
+   fraction reaches 1.0 (the engine degenerated to full sweeps), so CI
    can use this section as a smoke test. *)
 let run_incremental ?pool () =
-  section "Incremental SSTA (dirty-cone re-timing) inside the solver" (fun () ->
+  section "Incremental SSTA (dirty-cone re-timing) for sparse whatif edits" (fun () ->
+      let edits = 200 in
       let cases =
-        [
-          ("apex1*", Circuit.Generate.apex1_like (), 0.69);
-          ("k2*", Circuit.Generate.k2_like (), 0.65);
-        ]
+        [ ("apex1*", Circuit.Generate.apex1_like ()); ("k2*", Circuit.Generate.k2_like ()) ]
       in
       let t =
         Util.Table.create
           ~header:
-            [
-              "circuit";
-              "objective";
-              "scratch";
-              "incremental";
-              "speedup";
-              "dirty fraction";
-              "bit-identical";
-            ]
+            [ "circuit"; "edits"; "scratch"; "incremental"; "speedup"; "dirty fraction"; "bit-identical" ]
       in
-      for i = 2 to 5 do
+      for i = 1 to 5 do
         Util.Table.set_align t i Util.Table.Right
       done;
+      let bits = Int64.bits_of_float in
+      let same (x : float) y = Int64.equal (bits x) (bits y) in
+      let same_result (a : Sta.Ssta.result) (b : Sta.Ssta.result) =
+        let n (x : Statdelay.Normal.t) (y : Statdelay.Normal.t) =
+          same x.Statdelay.Normal.mu y.Statdelay.Normal.mu
+          && same x.Statdelay.Normal.var y.Statdelay.Normal.var
+        in
+        n a.Sta.Ssta.circuit b.Sta.Ssta.circuit
+        && Array.for_all2 n a.Sta.Ssta.arrival b.Sta.Ssta.arrival
+        && Array.for_all2 same a.Sta.Ssta.loads b.Sta.Ssta.loads
+      in
+      let seed = Sta.Ssta.mu_plus_k_sigma_seed 3. in
       let bad = ref false in
-      List.iter
-        (fun (name, net, fraction) ->
-          let unsized = Sizing.Engine.solve ?pool ~model net Sizing.Objective.Min_area in
-          let objective =
-            Sizing.Objective.Min_area_bounded
-              { k = 3.; bound = fraction *. unsized.Sizing.Engine.mu }
+      List.iteri
+        (fun ci (name, net) ->
+          let g = Circuit.Netlist.n_gates net in
+          let lo = Circuit.Netlist.min_sizes net and hi = Circuit.Netlist.max_sizes net in
+          let rng = Util.Rng.create (17 + ci) in
+          let committed = Array.init g (fun i -> Util.Rng.uniform rng ~lo:lo.(i) ~hi:hi.(i)) in
+          let requests =
+            Array.init edits (fun _ ->
+                let sizes = Array.copy committed in
+                for _ = 1 to 1 + Util.Rng.int rng 8 do
+                  let gate = Util.Rng.int rng g in
+                  sizes.(gate) <- Util.Rng.uniform rng ~lo:lo.(gate) ~hi:hi.(gate)
+                done;
+                sizes)
           in
-          let timed f =
-            let t0 = Util.Instr.now_ns () in
-            let r = f () in
-            (r, float_of_int (Util.Instr.now_ns () - t0) *. 1e-9)
-          in
-          let off =
-            { Sizing.Engine.default_options with Sizing.Engine.incremental = false }
-          in
-          let s_off, t_off =
-            timed (fun () -> Sizing.Engine.solve ~options:off ?pool ~model net objective)
-          in
+          (* Alternate the two request kinds, as whatif and gradient
+             requests interleave on a served circuit. *)
           let eng = Sta.Incr.create ?pool ~model net in
-          let s_on, t_on =
-            timed (fun () -> Sizing.Engine.solve ~timing:eng ?pool ~model net objective)
+          ignore (Sta.Incr.analyze eng ~sizes:committed);
+          let c0 = Sta.Incr.counters eng in
+          let t0 = Util.Instr.now_ns () in
+          let inc =
+            Array.mapi
+              (fun i sizes ->
+                if i mod 2 = 0 then (Sta.Incr.analyze eng ~sizes, [||])
+                else Sta.Incr.value_and_gradient eng ~sizes ~seed)
+              requests
           in
-          let bits = Int64.bits_of_float in
+          let t_inc = float_of_int (Util.Instr.now_ns () - t0) *. 1e-9 in
+          let c1 = Sta.Incr.counters eng in
+          let arena = Sta.Arena.create net in
+          let t0 = Util.Instr.now_ns () in
+          let scratch =
+            Array.mapi
+              (fun i sizes ->
+                if i mod 2 = 0 then (Sta.Ssta.analyze ?pool ~arena ~model net ~sizes, [||])
+                else Sta.Ssta.value_and_gradient ?pool ~arena ~model net ~sizes ~seed)
+              requests
+          in
+          let t_scratch = float_of_int (Util.Instr.now_ns () - t0) *. 1e-9 in
           let identical =
             Array.for_all2
-              (fun (a : float) b -> Int64.equal (bits a) (bits b))
-              s_off.Sizing.Engine.sizes s_on.Sizing.Engine.sizes
-            && Int64.equal (bits s_off.Sizing.Engine.mu) (bits s_on.Sizing.Engine.mu)
-            && Int64.equal (bits s_off.Sizing.Engine.sigma) (bits s_on.Sizing.Engine.sigma)
-            && s_off.Sizing.Engine.evaluations = s_on.Sizing.Engine.evaluations
+              (fun (ra, ga) (rb, gb) -> same_result ra rb && Array.for_all2 same ga gb)
+              inc scratch
           in
-          let frac = Sta.Incr.dirty_fraction eng in
+          let frac =
+            float_of_int (c1.Sta.Incr.gates_reevaluated - c0.Sta.Incr.gates_reevaluated)
+            /. float_of_int (g * (c1.Sta.Incr.analyzes - c0.Sta.Incr.analyzes))
+          in
           if frac >= 1.0 || not identical then bad := true;
           Util.Table.add_row t
             [
               name;
-              Sizing.Objective.describe objective;
-              Printf.sprintf "%.2f s" t_off;
-              Printf.sprintf "%.2f s" t_on;
-              Printf.sprintf "%.2fx" (t_off /. t_on);
+              string_of_int edits;
+              Printf.sprintf "%.1f ms" (t_scratch *. 1e3);
+              Printf.sprintf "%.1f ms" (t_inc *. 1e3);
+              Printf.sprintf "%.2fx" (t_scratch /. t_inc);
               Printf.sprintf "%.3f" frac;
               (if identical then "yes" else "NO");
             ])
@@ -471,7 +491,7 @@ let run_incremental ?pool () =
       Util.Table.print t;
       if !bad then begin
         Printf.printf
-          "ERROR: incremental solve diverged from scratch or dirty fraction >= 1.0\n";
+          "ERROR: incremental sweeps diverged from scratch or dirty fraction >= 1.0\n";
         exit 1
       end;
       print_newline ())
@@ -482,8 +502,10 @@ let run_incremental ?pool () =
    (DESIGN.md Section 9): the arena sweeps must agree with the boxed
    reference to the last bit, run materially faster serially, and a
    steady-state forward+reverse pair must stay under a committed
-   words/eval ceiling.  Exits non-zero when identity or the ceiling is
-   violated, so CI gates on this section. *)
+   words/eval ceiling.  The two-lane reverse sweep is timed against two
+   single-seed sweeps, and each of its lanes must match its seed's
+   single-seed gradient bit for bit.  Exits non-zero when identity or
+   the ceiling is violated, so CI gates on this section. *)
 let run_arena () =
   section "Flat timing arena: serial speedup, words/eval, bit-identity" (fun () ->
       let spec =
@@ -529,9 +551,35 @@ let run_arena () =
         && Array.for_all2 same res_b.Sta.Ssta.loads res_a.Sta.Ssta.loads
         && Array.for_all2 same grad_b grad_a
       in
+      (* Two seeds, as a sizing evaluation needs them: two single-seed
+         reverse sweeps against one two-lane sweep, whose lanes must
+         match them bit for bit. *)
+      let two_reverses () =
+        Sta.Ssta.forward_raw ~model arena ~sizes;
+        Sta.Ssta.reverse_raw ~model arena ~d_mu:root.Sta.Ssta.d_mu
+          ~d_var:root.Sta.Ssta.d_var;
+        Sta.Ssta.reverse_raw ~model arena ~d_mu:0. ~d_var:1.
+      in
+      let two_lanes () =
+        Sta.Ssta.forward_raw ~model arena ~sizes;
+        Sta.Ssta.reverse2_raw ~model arena ~d_mu:root.Sta.Ssta.d_mu
+          ~d_var:root.Sta.Ssta.d_var ~d_mu2:0. ~d_var2:1.
+      in
+      let grad_var = Array.make n_gates 0. in
+      two_reverses ();
+      Sta.Arena.gradient_into arena grad_var;
+      two_lanes ();
+      let lane1 = Array.make n_gates 0. and lane2 = Array.make n_gates 0. in
+      Sta.Arena.gradient_into arena lane1;
+      Sta.Arena.gradient2_into arena lane2;
+      let lanes_identical =
+        Array.for_all2 same grad_a lane1 && Array.for_all2 same grad_var lane2
+      in
       let reps = 20 in
       let t_boxed = wall_time_per_call ~reps boxed in
       let t_flat = wall_time_per_call ~reps flat in
+      let t_two_rev = wall_time_per_call ~reps two_reverses in
+      let t_two_lanes = wall_time_per_call ~reps two_lanes in
       let words_per_eval f =
         f ();
         Gc.full_major ();
@@ -592,6 +640,14 @@ let run_arena () =
           Printf.sprintf "%.0f" w_flat;
           (if identical then "yes" else "NO");
         ];
+      Util.Table.add_row t [ "arena, 2 seeds: fwd + 2 rev"; ms t_two_rev; "-"; "-" ];
+      Util.Table.add_row t
+        [
+          "arena, 2 seeds: fwd + two-lane rev";
+          ms t_two_lanes;
+          "-";
+          (if lanes_identical then "yes" else "NO");
+        ];
       Util.Table.print t;
       Printf.printf
         "serial speedup %.2fx, words/eval reduction %.0fx (kernels inlined: %s, \
@@ -602,6 +658,10 @@ let run_arena () =
         ceiling;
       if not identical then begin
         Printf.printf "ERROR: arena results differ from the boxed reference!\n";
+        exit 1
+      end;
+      if not lanes_identical then begin
+        Printf.printf "ERROR: two-lane reverse lanes differ from single-seed sweeps!\n";
         exit 1
       end;
       if w_flat > ceiling then begin

@@ -269,8 +269,7 @@ let objective_of ~objective ~k ~bound ~mu =
 
 let size_cmd =
   let run circuit blif bench library_file wire_load sigma_ratio varmodel objective k
-      bound mu print_sizes mc deadline max_evals no_recovery no_incremental
-      warm_start jobs profile =
+      bound mu print_sizes mc deadline max_evals no_recovery warm_start jobs profile =
     let vm = parse_varmodel varmodel in
     match load_circuit ~blif ~bench ~library_file ~circuit ~wire_load with
     | Error msg ->
@@ -304,6 +303,9 @@ let size_cmd =
                     s;
                   exit 1
             in
+            (* The exit code leaves [with_runtime] first, so the profile
+               of an unconverged solve is still written. *)
+            let code =
             with_runtime ~jobs ~profile @@ fun pool ->
             let model = model_of_ratio sigma_ratio in
             let options =
@@ -312,7 +314,6 @@ let size_cmd =
                 Sizing.Engine.deadline;
                 Sizing.Engine.max_evaluations = max_evals;
                 Sizing.Engine.recovery = not no_recovery;
-                Sizing.Engine.incremental = not no_incremental;
                 Sizing.Engine.warm_start = warm;
               }
             in
@@ -334,10 +335,13 @@ let size_cmd =
                ladder degraded gracefully: print the machine-readable
                diagnosis and exit non-zero so scripts cannot mistake it for
                a clean result. *)
-            if not s.Sizing.Engine.converged then begin
+            if s.Sizing.Engine.converged then 0
+            else begin
               print_endline (Sizing.Report.diagnosis_json s);
-              exit 2
-            end)
+              2
+            end
+            in
+            if code <> 0 then exit code)
   in
   let objective_arg =
     let doc = "Objective: min-delay, min-area, min-sigma or max-sigma." in
@@ -382,15 +386,6 @@ let size_cmd =
     in
     Arg.(value & flag & info [ "no-recovery" ] ~doc)
   in
-  let no_incremental_arg =
-    let doc =
-      "Disable incremental (dirty-cone) re-timing between solver evaluations \
-       and run a full SSTA sweep per evaluation.  Results are bit-identical \
-       either way; with --profile, the incr.* counters show what the cache \
-       saved."
-    in
-    Arg.(value & flag & info [ "no-incremental" ] ~doc)
-  in
   let warm_start_arg =
     let doc =
       "Start the solve from a surrogate's solution: 'gp' solves the mean-model \
@@ -404,7 +399,7 @@ let size_cmd =
       const run $ circuit_arg $ blif_arg $ bench_arg $ library_arg $ wire_load_arg
       $ sigma_ratio_arg $ varmodel_arg $ objective_arg $ k_arg $ bound_arg $ mu_arg
       $ print_sizes_arg $ mc_arg $ deadline_arg $ max_evals_arg $ no_recovery_arg
-      $ no_incremental_arg $ warm_start_arg $ jobs_arg $ profile_arg)
+      $ warm_start_arg $ jobs_arg $ profile_arg)
   in
   Cmd.v (Cmd.info "size" ~doc:"Solve a statistical gate sizing problem") term
 
@@ -434,6 +429,7 @@ let gp_cmd =
               Sizing.Gp.Min_delay { area_budget = Some base.Sizing.Baseline.area }
           | None, None, false -> Sizing.Gp.Min_delay { area_budget = None }
         in
+        let code =
         with_runtime ~jobs ~profile @@ fun _pool ->
         let sol = Sizing.Gp.solve net gp_obj in
         let describe =
@@ -469,7 +465,9 @@ let gp_cmd =
             (Circuit.Netlist.gates net);
         (* Anything short of a certified optimum is a failure exit for
            scripts, mirroring `statsize size`. *)
-        (match sol.Sizing.Gp.status with Sizing.Gp.Optimal -> () | _ -> exit 2)
+        match sol.Sizing.Gp.status with Sizing.Gp.Optimal -> 0 | _ -> 2
+        in
+        if code <> 0 then exit code
   in
   let bound_arg =
     let doc = "Minimise area subject to mean delay <= $(docv) (the GP min-area form)." in

@@ -4,7 +4,9 @@
    A [target] bundles everything the daemon keeps warm for a circuit:
    the netlist, the sigma model, the committed speed factors, and a
    persistent Sta.Incr engine whose dirty-cone cache makes consecutive
-   requests against the same circuit cheap.  All functions here run on
+   analyze/whatif/gradient requests against the same circuit cheap.
+   Size requests solve on the sizing engine's own scratch arena and
+   leave that cache alone.  All functions here run on
    the daemon's single executor thread (or inside the sim harness's
    single-threaded state) — no locking.
 
@@ -14,10 +16,9 @@
    - A request whose deadline already expired degrades (analyze/whatif:
      deterministic Dsta mean-only answer, flagged) or times out
      (gradient/size) instead of burning executor time.
-   - A size request that ends in numerical breakdown invalidates the
-     warmed engine: the incr cache could have been poisoned by the
-     failing trajectory, so it is rebuilt from scratch before the next
-     request touches it. *)
+   - An exception escaping a request rebuilds the warmed engine from
+     scratch, so no state it left half-updated reaches the next
+     request. *)
 
 type target = {
   net : Circuit.Netlist.t;
@@ -122,23 +123,16 @@ let exec_size t ?budget ?instrument ~objective ~recovery () =
       instrument;
     }
   in
-  let solve () =
-    match t.pool with
-    | Some pool ->
-        Sizing.Engine.solve ~options ~pool ~timing:t.incr ~model:t.model t.net
-          (objective_of_spec objective)
-    | None ->
-        Sizing.Engine.solve ~options ~timing:t.incr ~model:t.model t.net
-          (objective_of_spec objective)
+  let sol =
+    Sizing.Engine.solve ~options ?pool:t.pool ~model:t.model t.net
+      (objective_of_spec objective)
   in
-  let sol = solve () in
   let rungs =
     List.map (fun (a : Sizing.Engine.attempt) -> Sizing.Engine.rung_name a.rung)
       sol.recovery
   in
   if sol.converged then begin
-    (* Commit: subsequent Committed-sizes requests see the new sizing,
-       and the incr engine is already warm at exactly this point. *)
+    (* Commit: subsequent Committed-sizes requests see the new sizing. *)
     t.sizes <- Array.copy sol.sizes;
     {
       payload =
@@ -155,9 +149,6 @@ let exec_size t ?budget ?instrument ~objective ~recovery () =
     }
   end
   else begin
-    (* The failing trajectory ran through the warmed incr cache; rebuild
-       it so no poisoned state survives into the next request. *)
-    rebuild_incr t;
     let code, message =
       match sol.termination with
       | Nlp.Auglag.Breakdown ->

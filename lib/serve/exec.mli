@@ -2,7 +2,9 @@
 
     A {!target} bundles what the daemon keeps warm per circuit: the
     netlist, sigma model, committed speed factors and a persistent
-    {!Sta.Incr} dirty-cone engine.  Everything here runs on a single
+    {!Sta.Incr} dirty-cone engine that serves analyze, whatif and
+    gradient requests (size requests solve on the sizing engine's own
+    scratch arena).  Everything here runs on a single
     thread (the daemon's executor, or the sim harness's state) — no
     locking, no shared mutation.
 
@@ -10,9 +12,9 @@
     become [Bad_request]; a request whose deadline already expired is
     answered with the graceful-degradation rung (analyze/whatif: a
     deterministic mean-only {!Sta.Dsta} sweep, flagged [degraded]) or a
-    typed [Timeout] (gradient/size); a size request ending in numerical
-    breakdown rebuilds the warmed engine so no poisoned incremental
-    state survives into the next request. *)
+    typed [Timeout] (gradient/size); an unexpected exception rebuilds
+    the warmed engine so no half-updated incremental state survives
+    into the next request. *)
 
 type target = {
   net : Circuit.Netlist.t;
@@ -29,10 +31,6 @@ val create :
   Circuit.Netlist.t ->
   target
 (** Fresh target; [sizes] (validated, copied) defaults to all-min. *)
-
-val rebuild_incr : target -> unit
-(** Replaces the warmed engine with a cold one — invalidation after a
-    failed solve. *)
 
 val exec :
   ?budget:Util.Guard.budget ->

@@ -17,7 +17,8 @@
      gradient/size gets a typed [timeout];
    - per-circuit breakers quarantine a circuit whose solves keep
      breaking down, with typed [quarantined] replies;
-   - solve failures invalidate the warmed engine (Exec) so poisoned
+   - solves run on the sizing engine's own scratch arena, and an
+     exception escaping Exec rebuilds the warmed engine, so poisoned
      incremental state never crosses requests;
    - shutdown: SIGTERM/SIGINT finish the in-flight request and answer
      every queued one with a typed [shutting_down]; EOF on stdin

@@ -199,7 +199,7 @@ let solve t =
     }
   in
   let solution =
-    Sizing.Engine.solve ~options ~timing:t.incr ~model:t.model t.net t.objective
+    Sizing.Engine.solve ~options ~model:t.model t.net t.objective
   in
   let fired = match plan with None -> 0 | Some p -> List.length (Util.Fault.log p) in
   t.last_solve <- Some solution;

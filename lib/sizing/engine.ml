@@ -10,7 +10,6 @@ type options = {
   deadline : float option;
   max_evaluations : int option;
   recovery : bool;
-  incremental : bool;
   instrument : (Nlp.Problem.constrained -> Nlp.Problem.constrained) option;
 }
 
@@ -38,7 +37,6 @@ let default_options =
     deadline = None;
     max_evaluations = None;
     recovery = true;
-    incremental = true;
     instrument = None;
   }
 
@@ -103,10 +101,12 @@ let evaluate ?pool ?arena ?varmodel ~model net ~sizes =
    functional f(mu, var) is df/dmu * grad_mu + df/dvar * grad_var.  One
    cache entry holds the circuit moments and both basis gradients for
    the most recent point, so objective and constraint closures evaluated
-   at the same iterate share the timing analysis.  All buffers are
-   allocated once and overwritten in place on each miss: together with
-   the allocation-free arena sweeps underneath, a steady-state solver
-   evaluation puts nothing on the heap from the timing path. *)
+   at the same iterate share the timing analysis.  A miss is one forward
+   sweep plus one two-lane reverse sweep carrying both basis seeds.  All
+   buffers are allocated once and overwritten in place on each miss:
+   together with the allocation-free arena sweeps underneath, a
+   steady-state solver evaluation puts nothing on the heap from the
+   timing path. *)
 type cache_entry = {
   cx : float array;
   cmom : float array;
@@ -118,11 +118,19 @@ type cache_entry = {
 let circuit_mu_of e = e.cmom.(0)
 let circuit_var_of e = e.cmom.(1)
 
-let make_cache ?pool ?timing ?arena ?varmodel ~model net =
-  (match (timing, varmodel) with
-  | Some eng, Some vm when vm <> Sta.Arena.varmodel (Sta.Incr.arena eng) ->
-      invalid_arg "Engine: timing engine was created for a different varmodel"
-  | _ -> ());
+let make_cache ?pool ?arena ?varmodel ~model net =
+  let a =
+    match arena with
+    | Some a ->
+        if not (Sta.Arena.netlist a == net) then
+          invalid_arg "Engine: arena was created for a different netlist";
+        (match varmodel with
+        | Some vm when vm <> Sta.Arena.varmodel a ->
+            invalid_arg "Engine: arena was created for a different varmodel"
+        | _ -> ());
+        a
+    | None -> Sta.Arena.create ?varmodel net
+  in
   let n = Netlist.n_gates net in
   let entry =
     {
@@ -133,21 +141,6 @@ let make_cache ?pool ?timing ?arena ?varmodel ~model net =
       filled = false;
     }
   in
-  (* From-scratch path: one private arena (or the caller's), forward
-     once per miss, one reverse per basis seed. *)
-  let arena =
-    lazy
-      (match arena with
-      | Some a ->
-          if not (Sta.Arena.netlist a == net) then
-            invalid_arg "Engine: arena was created for a different netlist";
-          (match varmodel with
-          | Some vm when vm <> Sta.Arena.varmodel a ->
-              invalid_arg "Engine: arena was created for a different varmodel"
-          | _ -> ());
-          a
-      | None -> Sta.Arena.create ?varmodel net)
-  in
   fun x ->
     if entry.filled && Array.for_all2 (fun a b -> a = b) entry.cx x then begin
       Util.Instr.incr c_cache_hits;
@@ -155,30 +148,12 @@ let make_cache ?pool ?timing ?arena ?varmodel ~model net =
     end
     else begin
       Util.Instr.incr c_cache_misses;
-      (match timing with
-      | Some eng ->
-          (* The incremental engine re-times only the fan-out cone of
-             the delta against the previous iterate, and the second
-             basis differentiation hits its forward cache outright (zero
-             dirty gates).  Exact mode: bit-identical to the
-             from-scratch path below. *)
-          Sta.Incr.analyze_raw eng ~sizes:x;
-          let a = Sta.Incr.arena eng in
-          entry.cmom.(0) <- Sta.Arena.circuit_mu a;
-          entry.cmom.(1) <- Sta.Arena.circuit_var a;
-          Sta.Incr.gradient_into eng ~sizes:x ~d_mu:1. ~d_var:0.
-            ~out:entry.grad_mu;
-          Sta.Incr.gradient_into eng ~sizes:x ~d_mu:0. ~d_var:1.
-            ~out:entry.grad_var
-      | None ->
-          let a = Lazy.force arena in
-          Sta.Ssta.forward_raw ?pool ~model a ~sizes:x;
-          entry.cmom.(0) <- Sta.Arena.circuit_mu a;
-          entry.cmom.(1) <- Sta.Arena.circuit_var a;
-          Sta.Ssta.reverse_raw ?pool ~model a ~d_mu:1. ~d_var:0.;
-          Sta.Arena.gradient_into a entry.grad_mu;
-          Sta.Ssta.reverse_raw ?pool ~model a ~d_mu:0. ~d_var:1.;
-          Sta.Arena.gradient_into a entry.grad_var);
+      Sta.Ssta.forward_raw ?pool ~model a ~sizes:x;
+      entry.cmom.(0) <- Sta.Arena.circuit_mu a;
+      entry.cmom.(1) <- Sta.Arena.circuit_var a;
+      Sta.Ssta.reverse2_raw ?pool ~model a ~d_mu:1. ~d_var:0. ~d_mu2:0. ~d_var2:1.;
+      Sta.Arena.gradient_into a entry.grad_mu;
+      Sta.Arena.gradient2_into a entry.grad_var;
       Array.blit x 0 entry.cx 0 n;
       entry.filled <- true;
       entry
@@ -200,11 +175,11 @@ let area_objective net x =
   let grad = Array.map (fun (g : Netlist.gate) -> g.Netlist.cell.Cell.area) (Netlist.gates net) in
   (Netlist.area net ~sizes:x, grad)
 
-let build_problem ?pool ?timing ?arena ?varmodel ~model net objective =
+let build_problem ?pool ?arena ?varmodel ~model net objective =
   let bounds =
     Nlp.Problem.bounds ~lower:(Netlist.min_sizes net) ~upper:(Netlist.max_sizes net)
   in
-  let lookup = make_cache ?pool ?timing ?arena ?varmodel ~model net in
+  let lookup = make_cache ?pool ?arena ?varmodel ~model net in
   let mu_of = circuit_mu_of in
   let sigma_of e = sqrt (circuit_var_of e) in
   match objective with
@@ -266,8 +241,8 @@ let start_point ~options net =
       Netlist.check_sizes net x;
       Array.copy x
 
-let trivial_solution ?pool ?varmodel ~model net objective sizes started =
-  let timing, area = evaluate ?pool ?varmodel ~model net ~sizes in
+let trivial_solution ?pool ~arena ~model net objective sizes started =
+  let timing, area = evaluate ?pool ~arena ~model net ~sizes in
   {
     objective;
     sizes;
@@ -299,6 +274,15 @@ let less_broken (a : Nlp.Auglag.report) (b : Nlp.Auglag.report) =
       if Util.Guard.is_finite f then f else infinity )
   in
   if key a <= key b then a else b
+
+(* A solver report the fallback rungs could replace.  A fallback's
+   violation is never negative and [solve_impl] adopts one only when it
+   is strictly more feasible than the best solver iterate (or that
+   iterate is not finite), so against a finite, feasible report no
+   fallback can win and computing one would be wasted. *)
+let fallback_may_win (r : Nlp.Auglag.report) =
+  let v = r.Nlp.Auglag.max_violation and f = r.Nlp.Auglag.f in
+  (not (Util.Guard.is_finite v)) || (not (Util.Guard.is_finite f)) || v > 0.
 
 let baseline_fallback net objective =
   match objective with
@@ -335,8 +319,7 @@ let warm_start_sizes ~warm net objective =
   | `Gp -> gp_sizes net objective
   | `Baseline -> baseline_fallback net objective
 
-let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model net
-    objective =
+let rec solve_impl ?(options = default_options) ?pool ~arena ~model net objective =
   let started = Sys.time () in
   let wall0 = Util.Instr.now_ns () in
   let elapsed () = float_of_int (Util.Instr.now_ns () - wall0) /. 1e9 in
@@ -344,7 +327,7 @@ let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model n
   | Objective.Min_area ->
       (* Every speed factor at its lower bound is optimal: area is strictly
          increasing in every size and there is no delay constraint. *)
-      trivial_solution ?pool ?varmodel ~model net objective (Netlist.min_sizes net)
+      trivial_solution ?pool ~arena ~model net objective (Netlist.min_sizes net)
         started
   | (Objective.Min_sigma { mu } | Objective.Max_sigma { mu })
     when (match options.start with `Given _ -> false | `Low | `Mid | `High -> true) ->
@@ -355,8 +338,7 @@ let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model n
          start from a feasible point: the area-optimal sizing whose delay
          constraint is active at the target mean. *)
       let warm =
-        solve_impl ~options:{ options with restarts = 0 } ?pool ?timing ?varmodel
-          ~model net
+        solve_impl ~options:{ options with restarts = 0 } ?pool ~arena ~model net
           (Objective.Min_area_bounded { k = 0.; bound = mu })
       in
       (* A stiff initial penalty keeps the sigma objective from dragging
@@ -384,8 +366,7 @@ let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model n
         }
       in
       let inner =
-        solve_impl ~options:remaining_options ?pool ?timing ?varmodel ~model net
-          objective
+        solve_impl ~options:remaining_options ?pool ~arena ~model net objective
       in
       {
         inner with
@@ -394,24 +375,11 @@ let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model n
         recovery = warm.recovery @ inner.recovery;
       }
   | _ ->
-      (* One persistent incremental timing engine per solve (or the
-         caller's, when sharing across solves): consecutive solver
-         evaluations re-time only the changed fan-out cones. *)
-      let timing =
-        match timing with
-        | Some _ as t -> t
-        | None ->
-            if options.incremental then
-              Some (Sta.Incr.create ?pool ?varmodel ~model net)
-            else None
-      in
-      (* One snapshot arena for the final reporting evaluations (never
-         the incremental engine's — that one owns its planes). *)
-      let snap_arena = lazy (Sta.Arena.create ?varmodel net) in
-      let evaluate_snap sizes =
-        evaluate ?pool ~arena:(Lazy.force snap_arena) ?varmodel ~model net ~sizes
-      in
-      let problem = build_problem ?pool ?timing ?varmodel ~model net objective in
+      (* Every sweep of the solve, the final report's included, runs on
+         the solve's one arena: the evaluation cache keeps its own
+         copies of what it needs between misses. *)
+      let evaluate_snap sizes = evaluate ?pool ~arena ~model net ~sizes in
+      let problem = build_problem ?pool ~arena ~model net objective in
       let problem =
         match options.instrument with None -> problem | Some f -> f problem
       in
@@ -428,12 +396,6 @@ let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model n
         }
       in
       let solve_from ?(solver = options.solver) x0 =
-        (* Every attempt — the initial one, multi-start restarts and each
-           recovery rung — starts from a wholesale-invalidated timing
-           cache: the perturbed/fault-recovery paths must never trust
-           state from a failed trajectory, and an objective switch on a
-           shared engine gets a full sweep the same way. *)
-        Option.iter Sta.Incr.invalidate timing;
         let r = Nlp.Auglag.solve ~options:(with_budget solver) problem ~x0 in
         total_evals := !total_evals + r.Nlp.Auglag.evaluations;
         r
@@ -550,8 +512,9 @@ let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model n
             | [] ->
                 (* Solver rungs exhausted: globally-optimal-on-the-mean
                    GP sizing first, then the deterministic baseline, if
-                   the objective has either. *)
-                if budget_left () then begin
+                   the objective has either — but only when a fallback
+                   could be adopted at all (see [fallback_wins]). *)
+                if budget_left () && fallback_may_win best then begin
                   match gp_sizes net objective with
                   | Some sizes ->
                       Util.Instr.incr c_rung_gp;
@@ -672,15 +635,8 @@ let rec solve_impl ?(options = default_options) ?pool ?timing ?varmodel ~model n
             recovery;
           })
 
-let solve ?options ?pool ?timing ?varmodel ~model net objective =
+let solve ?options ?pool ?varmodel ~model net objective =
   Util.Instr.incr c_solves;
-  (match timing with
-  | Some eng when not (Sta.Incr.netlist eng == net) ->
-      invalid_arg "Engine.solve: timing engine bound to a different netlist"
-  | _ -> ());
-  (match (timing, varmodel) with
-  | Some eng, Some vm when vm <> Sta.Arena.varmodel (Sta.Incr.arena eng) ->
-      invalid_arg "Engine.solve: timing engine was created for a different varmodel"
-  | _ -> ());
   Util.Instr.time t_solve (fun () ->
-      solve_impl ?options ?pool ?timing ?varmodel ~model net objective)
+      let arena = Sta.Arena.create ?varmodel net in
+      solve_impl ?options ?pool ~arena ~model net objective)

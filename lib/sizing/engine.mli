@@ -11,19 +11,11 @@
     {!Formulate}).
 
     Every timing evaluation inside a solve goes through a one-entry
-    cache (see {!make_cache}); passing [?pool] threads a
-    {!Util.Pool.t} down to the SSTA sweeps so large circuits evaluate
-    level-parallel.
-
-    {b Incremental re-timing.}  With [options.incremental] (the
-    default) each solve owns a persistent {!Sta.Incr} engine, so
-    consecutive solver evaluations re-propagate only the fan-out cones
-    of the sizes the line search actually moved — in exact mode this is
-    bit-identical to from-scratch evaluation, so solutions do not move
-    by a bit when it is disabled.  The cache is invalidated wholesale at
-    every attempt boundary (multi-start restarts, each recovery-ladder
-    rung, and any objective switch on a caller-shared [?timing] engine).
-    Counters surface as [incr.*] (see {!Sta.Incr}).
+    cache (see {!make_cache}) over one private {!Sta.Arena}: a miss is
+    one forward sweep plus one two-lane reverse sweep
+    ({!Sta.Ssta.reverse2_raw}) that yields the gradients of both circuit
+    moments.  Passing [?pool] threads a {!Util.Pool.t} down to the SSTA
+    sweeps so large circuits evaluate level-parallel.
 
     {b Resilience.}  [solve] never raises on numerical failure.  The
     solver stack runs behind {!Nlp.Problem.guarded}; when the initial
@@ -33,7 +25,10 @@
     (3) gentler penalty growth, and finally (4) the mean-model {!Gp}
     sizing, degrading to (5) the deterministic {!Baseline} when the GP
     has no analogue or cannot certify, recording every rung taken in
-    [solution.recovery].  Optional [deadline] / [max_evaluations]
+    [solution.recovery].  The two fallback rungs run only when the best
+    solver iterate is non-finite or infeasible: a fallback is adopted
+    only when it is strictly more feasible, which a finite iterate with
+    zero violation cannot be beaten on.  Optional [deadline] / [max_evaluations]
     budgets bound the {e whole} ladder, not each rung; a [Deadline]
     exit returns the best iterate seen and stops the ladder.
     Instrumented via {!Util.Instr}: counters [engine.solve],
@@ -64,10 +59,6 @@ type options = {
       (** budget on objective/constraint evaluations across all attempts,
           default [None] *)
   recovery : bool;  (** enable the recovery ladder (default [true]) *)
-  incremental : bool;
-      (** evaluate through a persistent {!Sta.Incr} dirty-cone engine
-          instead of from-scratch sweeps (default [true]; bit-identical
-          results either way) *)
   instrument : (Nlp.Problem.constrained -> Nlp.Problem.constrained) option;
       (** hook applied to the internally built problem before solving —
           used by the fault-injection tests to corrupt evaluations;
@@ -125,7 +116,6 @@ type solution = {
 val solve :
   ?options:options ->
   ?pool:Util.Pool.t ->
-  ?timing:Sta.Incr.t ->
   ?varmodel:Circuit.Varmodel.t ->
   model:Circuit.Sigma_model.t ->
   Circuit.Netlist.t ->
@@ -133,10 +123,8 @@ val solve :
   solution
 (** Solves the sizing problem; see {!options} for the solver knobs.
     [pool] parallelises every SSTA evaluation of the run — solutions are
-    bit-identical with and without it.  [timing] shares a caller-owned
-    incremental engine across solves (it must be bound to [net], else
-    [Invalid_argument]); it is invalidated at every attempt boundary, so
-    switching objectives between solves forces a full sweep.  Never
+    bit-identical with and without it.  Each solve sweeps its own
+    private {!Sta.Arena}, so solves share no timing state.  Never
     raises on numerical failure: guards, budgets and the recovery ladder
     turn NaN/Inf, stalls and expired budgets into a typed [termination]
     plus the [recovery] trail.
@@ -145,9 +133,9 @@ val solve :
     timing evaluation and gradient of the solve flows through the
     canonical {!Sta.Arena} sweeps (tightness-probability backprop
     included), so the optimiser sees the correlation-aware
-    {m \mu + k\sigma}.  A caller-shared [timing] engine (and any
-    [arena] passed to the lower-level entry points) must have been
-    created with the same varmodel, else [Invalid_argument].  The GP
+    {m \mu + k\sigma}.  An [arena] passed to the lower-level entry
+    points must have been created with the same varmodel, else
+    [Invalid_argument].  The GP
     and baseline warm starts/fallbacks stay mean-model — the mean is
     unchanged by the varmodel. *)
 
@@ -175,7 +163,6 @@ type cache_entry = {
 
 val make_cache :
   ?pool:Util.Pool.t ->
-  ?timing:Sta.Incr.t ->
   ?arena:Sta.Arena.t ->
   ?varmodel:Circuit.Varmodel.t ->
   model:Circuit.Sigma_model.t ->
@@ -190,16 +177,15 @@ val make_cache :
     and of the variance) and the gradient of any functional
     {m f(\mu, \sigma^2)} is their linear combination — objective and
     constraint closures evaluated at one iterate share a single timing
-    analysis.  With [timing], cache misses evaluate through the
-    incremental engine (dirty-cone re-timing; the second basis gradient
-    hits its forward cache); otherwise through allocation-free sweeps on
-    [arena] (or a private {!Sta.Arena}).  The single entry and its
+    analysis.  A miss runs allocation-free sweeps on [arena] (or a
+    private {!Sta.Arena}): one forward, one two-lane reverse for both
+    basis seeds.  [arena] must belong to [net] (and [varmodel]), else
+    [Invalid_argument].  The single entry and its
     buffers are allocated once and overwritten in place — callers must
     not mutate or retain them across calls. *)
 
 val build_problem :
   ?pool:Util.Pool.t ->
-  ?timing:Sta.Incr.t ->
   ?arena:Sta.Arena.t ->
   ?varmodel:Circuit.Varmodel.t ->
   model:Circuit.Sigma_model.t ->

@@ -60,6 +60,18 @@ external stage_gather_sizes : Clark.vec -> ivec -> Clark.vec -> int -> int -> un
   = "sta_stage_gather_sizes"
 [@@noalloc]
 
+(* The second adjoint lane of [reverse2]: the planes a single-seed
+   reverse writes, once more.  Canonical arenas run [reverse2] as two
+   single-lane sweeps and only keep [l_grad]; their other lane planes
+   stay empty. *)
+type lane = {
+  l_adj : vec;
+  l_dmu_t : vec;
+  l_active : Bytes.t;
+  l_fadj : vec;
+  l_grad : vec;
+}
+
 type t = {
   net : Netlist.t;
   flat : Netlist.flat;
@@ -104,6 +116,7 @@ type t = {
   sadj : vec;  (** per-gate sensitivity adjoint rows *)
   fsadj : vec;  (** fold-slot sensitivity adjoint rows *)
   cpp : vec;  (** fold-slot plane x16: canonical partials per step *)
+  mutable lane2 : lane option;  (** [reverse2]'s second lane, made on first use *)
 }
 
 (* Bigarray.Array1.create leaves the plane uninitialised — always
@@ -198,6 +211,7 @@ let create ?varmodel net =
     sadj = make_vec (if p = 0 then 0 else p * n);
     fsadj = make_vec (if p = 0 then 0 else p * fs);
     cpp = make_vec (if p = 0 then 0 else Canon.partials_width * fs);
+    lane2 = None;
   }
 
 let netlist t = t.net
@@ -942,6 +956,204 @@ let reverse ?pool ~model t ~d_mu ~d_var =
   if t.p = 0 then reverse_ind ?pool ~model t ~d_mu ~d_var
   else reverse_c ?pool ~model t ~d_mu ~d_var
 
+(* ---- two-lane reverse sweep ------------------------------------------------
+
+   The sizing engine needs the gradients of both circuit moments at
+   every iterate: the reverse sweep seeded with (1, 0) and with (0, 1).
+   A fold step's Clark partials depend only on the forward state, not on
+   the seed, so one sweep can carry both adjoint lanes.  Phase 1 computes
+   each step's partials once and applies them to every live lane; phase
+   2 scatters each lane into its own accumulators.  Each lane has its
+   own active mask and touches exactly the gates a single-seed [reverse]
+   with its seed touches, with the same operations in the same order, so
+   each lane is bit-identical to that sweep.  Lane 1 uses the arena's
+   own adjoint planes, so after [reverse2] they and [grad] hold what
+   [reverse] with the first seed leaves ([pp] may hold more steps). *)
+
+let lane2 t =
+  match t.lane2 with
+  | Some l -> l
+  | None ->
+      let w = if t.p = 0 then 1 else 0 in
+      let l =
+        {
+          l_adj = make_vec (w * 2 * t.n);
+          l_dmu_t = make_vec (w * t.n);
+          l_active = Bytes.make (w * max 1 t.n) '\000';
+          l_fadj = make_vec (w * 2 * t.flat.Netlist.fold_slots);
+          l_grad = make_vec t.n;
+        }
+      in
+      t.lane2 <- Some l;
+      l
+
+(* Marks the gate's live lanes; true when either lane is live. *)
+let[@inline] mark_live2 t l id =
+  let live1 =
+    Clark.vget t.adj (2 * id) <> 0. || Clark.vget t.adj ((2 * id) + 1) <> 0.
+  and live2 =
+    Clark.vget l.l_adj (2 * id) <> 0. || Clark.vget l.l_adj ((2 * id) + 1) <> 0.
+  in
+  if live1 then Bytes.unsafe_set t.active id '\001';
+  if live2 then Bytes.unsafe_set l.l_active id '\001';
+  live1 || live2
+
+(* [phase1_gate] for both lanes: the partials once, each live lane's
+   seed and backprop chain exactly as the single-lane gate does it. *)
+let phase1_gate2 t l model s0 id =
+  let fl = t.flat in
+  let live1 = Bytes.unsafe_get t.active id <> '\000'
+  and live2 = Bytes.unsafe_get l.l_active id <> '\000' in
+  let dvar_dmu = Sigma_model.dvar_dmu model (Clark.vget t.del (2 * id)) in
+  let base = fl.Netlist.fi_off.(id) in
+  let k = fl.Netlist.fi_off.(id + 1) - base in
+  let ob = base - s0 in
+  if live1 then begin
+    let a_mu = Clark.vget t.adj (2 * id)
+    and a_var = Clark.vget t.adj ((2 * id) + 1) in
+    Clark.vset t.dmu_t id (a_mu +. (a_var *. dvar_dmu));
+    Clark.vset t.fadj (2 * base) a_mu;
+    Clark.vset t.fadj ((2 * base) + 1) a_var
+  end;
+  if live2 then begin
+    let a_mu = Clark.vget l.l_adj (2 * id)
+    and a_var = Clark.vget l.l_adj ((2 * id) + 1) in
+    Clark.vset l.l_dmu_t id (a_mu +. (a_var *. dvar_dmu));
+    Clark.vset l.l_fadj (2 * base) a_mu;
+    Clark.vset l.l_fadj ((2 * base) + 1) a_var
+  end;
+  for j = k - 1 downto 1 do
+    Clark.partials_into
+      ~mu_a:(Clark.vget t.pre (2 * (base + j) - 2))
+      ~var_a:(Clark.vget t.pre (2 * (base + j) - 1))
+      ~mu_b:(Clark.vget t.opnd (2 * (ob + j)))
+      ~var_b:(Clark.vget t.opnd ((2 * (ob + j)) + 1))
+      t.pp (base + j);
+    if live1 then
+      Clark.backprop_apply t.pp (base + j) t.fadj ~acc:base ~out:(base + j);
+    if live2 then
+      Clark.backprop_apply t.pp (base + j) l.l_fadj ~acc:base ~out:(base + j)
+  done
+
+(* [phase2_gate] on the second lane's planes. *)
+let phase2_lane2 t l id =
+  if Bytes.unsafe_get l.l_active id <> '\000' then begin
+    let fl = t.flat in
+    let dmu_t = Clark.vget l.l_dmu_t id in
+    let drive = fl.Netlist.g_drive.(id) in
+    let s_g = Clark.vget t.sizes id in
+    Clark.vset l.l_grad id
+      (Clark.vget l.l_grad id
+      -. (dmu_t *. drive *. Clark.vget t.load id /. (s_g *. s_g)));
+    let j1 = fl.Netlist.fo_off.(id + 1) in
+    for j = fl.Netlist.fo_off.(id) to j1 - 1 do
+      let c = fl.Netlist.fo_consumer.(j) in
+      Clark.vset l.l_grad c
+        (Clark.vget l.l_grad c
+        +. dmu_t *. drive *. fl.Netlist.fo_mult.(j) *. fl.Netlist.fo_cin.(j)
+           /. s_g)
+    done;
+    let base = fl.Netlist.fi_off.(id) in
+    let k = fl.Netlist.fi_off.(id + 1) - base in
+    for i = 0 to k - 1 do
+      let e = fl.Netlist.fi_node.(base + i) in
+      if e >= 0 then begin
+        Clark.vset l.l_adj (2 * e)
+          (Clark.vget l.l_adj (2 * e) +. Clark.vget l.l_fadj (2 * (base + i)));
+        Clark.vset l.l_adj ((2 * e) + 1)
+          (Clark.vget l.l_adj ((2 * e) + 1)
+          +. Clark.vget l.l_fadj ((2 * (base + i)) + 1))
+      end
+    done
+  end
+
+(* Scatters the primary-output fold's per-operand adjoints of one lane
+   (ascending PO order, as [reverse_ind] does). *)
+let scatter_pos t adj fadj =
+  let fl = t.flat in
+  let base = fl.Netlist.po_base in
+  for i = 0 to Array.length fl.Netlist.po_node - 1 do
+    let e = fl.Netlist.po_node.(i) in
+    if e >= 0 then begin
+      Clark.vset adj (2 * e) (Clark.vget adj (2 * e) +. Clark.vget fadj (2 * (base + i)));
+      Clark.vset adj ((2 * e) + 1)
+        (Clark.vget adj ((2 * e) + 1) +. Clark.vget fadj ((2 * (base + i)) + 1))
+    end
+  done
+
+let reverse2_ind ?pool ~model t l ~d_mu ~d_var ~d_mu2 ~d_var2 =
+  let fl = t.flat in
+  Bigarray.Array1.fill t.adj 0.;
+  Bigarray.Array1.fill t.grad 0.;
+  Bytes.fill t.active 0 (Bytes.length t.active) '\000';
+  Bigarray.Array1.fill l.l_adj 0.;
+  Bigarray.Array1.fill l.l_grad 0.;
+  Bytes.fill l.l_active 0 (Bytes.length l.l_active) '\000';
+  let base = fl.Netlist.po_base in
+  let m = Array.length fl.Netlist.po_node in
+  Clark.vset t.fadj (2 * base) d_mu;
+  Clark.vset t.fadj ((2 * base) + 1) d_var;
+  Clark.vset l.l_fadj (2 * base) d_mu2;
+  Clark.vset l.l_fadj ((2 * base) + 1) d_var2;
+  for j = m - 1 downto 1 do
+    let e = fl.Netlist.po_node.(j) in
+    let b = if e >= 0 then 2 * e else (-2 * e) - 2 in
+    let src = if e >= 0 then t.arr else t.pi in
+    Clark.partials_into
+      ~mu_a:(Clark.vget t.pre (2 * (base + j) - 2))
+      ~var_a:(Clark.vget t.pre (2 * (base + j) - 1))
+      ~mu_b:(Clark.vget src b)
+      ~var_b:(Clark.vget src (b + 1))
+      t.pp (base + j);
+    Clark.backprop_apply t.pp (base + j) t.fadj ~acc:base ~out:(base + j);
+    Clark.backprop_apply t.pp (base + j) l.l_fadj ~acc:base ~out:(base + j)
+  done;
+  scatter_pos t t.adj t.fadj;
+  scatter_pos t l.l_adj l.l_fadj;
+  let lvl_off = fl.Netlist.lvl_off in
+  let d = Array.length lvl_off - 1 in
+  for lv = d - 1 downto 0 do
+    let lo = lvl_off.(lv) in
+    let hi = lvl_off.(lv + 1) in
+    let w = hi - lo in
+    (match pool with
+    | Some p when Util.Pool.size p > 1 && w >= 2 * level_grain ->
+        Util.Instr.incr c_par_levels;
+        stage_fanin t lo hi;
+        let s0 = fl.Netlist.fi_off.(lo) in
+        Util.Pool.parallel_for ~grain:level_grain ~align:8 p ~n:w (fun i ->
+            let id = lo + i in
+            if mark_live2 t l id then phase1_gate2 t l model s0 id)
+    | _ ->
+        Util.Instr.incr c_ser_levels;
+        let b0 = ref lo in
+        while !b0 < hi do
+          let b1 = min hi (!b0 + stage_block) in
+          stage_fanin t !b0 b1;
+          let s0 = fl.Netlist.fi_off.(!b0) in
+          for id = !b0 to b1 - 1 do
+            if mark_live2 t l id then phase1_gate2 t l model s0 id
+          done;
+          b0 := b1
+        done);
+    for id = hi - 1 downto lo do
+      phase2_gate t id;
+      phase2_lane2 t l id
+    done
+  done
+
+let reverse2 ?pool ~model t ~d_mu ~d_var ~d_mu2 ~d_var2 =
+  let l = lane2 t in
+  if t.p = 0 then reverse2_ind ?pool ~model t l ~d_mu ~d_var ~d_mu2 ~d_var2
+  else begin
+    (* Canonical rows make a lane [2 + p] doubles wide; two single-lane
+       sweeps, the second lane first so the arena ends in lane 1's
+       state. *)
+    reverse_c ?pool ~model t ~d_mu:d_mu2 ~d_var:d_var2;
+    Bigarray.Array1.blit t.grad l.l_grad;
+    reverse_c ?pool ~model t ~d_mu ~d_var
+  end
+
 (* ---- old-id boundary accessors ---------------------------------------------- *)
 
 let gradient_into t (out : float array) =
@@ -951,6 +1163,17 @@ let gradient_into t (out : float array) =
   for i = 0 to t.n - 1 do
     Array.unsafe_set out (Array.unsafe_get inv i) (Clark.vget t.grad i)
   done
+
+let gradient2_into t (out : float array) =
+  match t.lane2 with
+  | None -> invalid_arg "Arena.gradient2_into: no two-lane reverse sweep has run"
+  | Some l ->
+      if Array.length out < t.n then
+        invalid_arg "Arena.gradient2_into: output shorter than the gate count";
+      let inv = t.flat.Netlist.inv_perm in
+      for i = 0 to t.n - 1 do
+        Array.unsafe_set out (Array.unsafe_get inv i) (Clark.vget l.l_grad i)
+      done
 
 let circuit_sens_into t (out : float array) =
   if Array.length out < t.p then

@@ -33,6 +33,9 @@ type ivec = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Compact (int32) index column, halving the staging loops' index
     stream next to OCaml's 8-byte [int array]. *)
 
+type lane
+(** The second adjoint lane's planes of {!reverse2}. *)
+
 type t = {
   net : Circuit.Netlist.t;
   flat : Circuit.Netlist.flat;
@@ -81,6 +84,8 @@ type t = {
   sadj : vec;  (** per-gate sensitivity adjoint rows *)
   fsadj : vec;  (** fold-slot sensitivity adjoint rows *)
   cpp : vec;  (** fold-slot plane x16: canonical partials per step *)
+  mutable lane2 : lane option;
+      (** {!reverse2}'s second-lane planes, allocated by its first call *)
 }
 
 val create : ?varmodel:Circuit.Varmodel.t -> Circuit.Netlist.t -> t
@@ -132,6 +137,31 @@ val reverse :
     (and the adjoint planes).  Same two-phase levelized schedule as the
     boxed sweep, so results are bit-identical at any pool width.
     Allocation-free in serial mode. *)
+
+val reverse2 :
+  ?pool:Util.Pool.t ->
+  model:Circuit.Sigma_model.t ->
+  t ->
+  d_mu:float ->
+  d_var:float ->
+  d_mu2:float ->
+  d_var2:float ->
+  unit
+(** Two adjoint sweeps in one: lane 1 seeded with [(d_mu, d_var)],
+    lane 2 with [(d_mu2, d_var2)]; requires the state left by
+    {!forward}.  The Clark partials of each fold step are computed once
+    and applied to both lanes, and each lane keeps its own active mask,
+    so each lane's gradient is bit-identical to {!reverse} with that
+    lane's seed, at any pool width.  Lane 1 fills [grad] and the adjoint
+    planes exactly as {!reverse} would; lane 2's gradient is read with
+    {!gradient2_into}.  Its planes are allocated on the first call.  A
+    canonical arena ([p > 0]) runs two single-lane sweeps instead.
+    Allocation-free in serial mode after the first call. *)
+
+val gradient2_into : t -> float array -> unit
+(** {!gradient_into} for the second lane of the last {!reverse2}.
+    Raises [Invalid_argument] if no {!reverse2} has run or [out] is
+    shorter than the gate count. *)
 
 val gradient_into : t -> float array -> unit
 (** [gradient_into t out] scatters the gradient left by {!reverse} into

@@ -50,11 +50,11 @@ type stats = {
    gate-delay mean adjoints), plus the engine version they were computed
    against — all stored as plane copies (same interleaved Bigarray
    layout as the arena's), blitted in and out, so slot maintenance
-   allocates nothing after engine creation.  Sizing.Engine
-   differentiates with the two constant basis seeds (1,0) and (0,1), so
-   each gets a stable slot; roots that vary per call (e.g. a direct
-   mu+3sigma seed) never pass the bitwise-adjoint guard and just cycle
-   through the LRU slots.  Like everything inside the engine, slot
+   allocates nothing after engine creation.  Constant seeds (the basis
+   seeds (1,0) and (0,1) of served mu and var gradients) each get a
+   stable slot; roots that vary per call (e.g. a direct mu+3sigma seed)
+   never pass the bitwise-adjoint guard and just cycle through the LRU
+   slots.  Like everything inside the engine, slot
    planes are indexed by the flat view's new (level-major) gate ids. *)
 type slot = {
   mutable root_mu_bits : int64;
@@ -103,7 +103,7 @@ type t = {
   (* Seed-independent Clark partials of each gate's fanin fold, stored in
      the arena's [pp] plane (the gate's fold-slot segment), valid while
      every gate-fanin arrival is unchanged since [pc_version.(g)].  Lets
-     the second basis-seed gradient at the same point (and any gate whose
+     a second gradient at the same point (and any gate whose
      input cone is clean) replay the reverse chain with eight multiplies
      per operand instead of re-running the Clark operators. *)
   pc_version : int array;
@@ -166,7 +166,6 @@ let create ?pool ?(mode = Exact) ?varmodel ~model net =
       };
   }
 
-let netlist t = t.net
 let mode t = t.mode
 let arena t = t.a
 
@@ -443,8 +442,6 @@ let analyze_state t ~sizes =
   t.f_valid <- true;
   t.initialized <- true
 
-let analyze_raw t ~sizes = analyze_state t ~sizes
-
 let analyze t ~sizes =
   analyze_state t ~sizes;
   Ssta.of_arena t.a
@@ -532,7 +529,7 @@ let fanin_clean t limit id =
 
    The Clark partials themselves (seed-independent) live in the arena's
    [pp] plane under a separate per-gate version guard [pc_version]: the
-   second basis-seed gradient at the same point replays the multiply
+   a second gradient at the same point replays the multiply
    chain against them without touching a Clark operator. *)
 let reverse_core t ~d_mu ~d_var =
   let a = t.a in
@@ -695,13 +692,3 @@ let value_and_gradient t ~sizes ~seed =
   (res, grad)
 
 let gradient t ~sizes ~seed = snd (value_and_gradient t ~sizes ~seed)
-
-(* Raw plane-level variant for the sizing engine's inner loop: no result
-   snapshot, no gradient copy — the caller reads the arena (via {!arena})
-   and receives the gradient in its own buffer (old-id order). *)
-let gradient_into t ~sizes ~d_mu ~d_var ~out =
-  analyze_state t ~sizes;
-  t.st.s_gradients <- t.st.s_gradients + 1;
-  Util.Instr.incr c_gradient;
-  (Util.Instr.time t_reverse @@ fun () -> reverse_dispatch t ~d_mu ~d_var);
-  Arena.gradient_into t.a out

@@ -1,14 +1,14 @@
 (** Incremental statistical timing: dirty-cone re-evaluation.
 
-    The sizing solver re-evaluates the circuit at a sequence of iterates
-    that differ in only some of the speed factors (line searches move the
-    interior coordinates while projected coordinates stay pinned at their
-    bounds, and multiplier updates re-evaluate at the {e same} point).  A
-    full forward/reverse sweep per evaluation — the dominant hot path —
-    recomputes every gate regardless.  This engine is a persistent
-    alternative: it caches the last analysis (per-gate arrival moments,
-    gate delays, loads) and, given the next size vector, re-propagates
-    {e only} the transitive fan-out cone of the changed gates.
+    A served circuit answers a stream of analyze, whatif and gradient
+    requests whose size vectors differ from one another in a handful of
+    gates (a whatif edits 1-8 gates of the committed sizing).  A full
+    forward/reverse sweep per request recomputes every gate regardless.
+    This engine is a persistent alternative: it caches the last analysis
+    (per-gate arrival moments, gate delays, loads) and, given the next
+    size vector, re-propagates {e only} the transitive fan-out cone of
+    the changed gates.  Sizing solves do not use it: their iterates move
+    most gates at once, so they sweep a scratch {!Arena} instead.
 
     {2 Dirty-cone rule}
 
@@ -37,8 +37,7 @@
     {!Statdelay.Clark.partials_into} replays per gate — is reused
     from the previous gradient evaluation whenever the gate's operands,
     delay and adjoint are unchanged since.  Reuse histories are kept per
-    seed root (the engine's basis seeds {m (1,0)} and {m (0,1)} each get
-    their own slot).
+    seed root (each distinct seed gets its own slot).
 
     {2 Modes}
 
@@ -95,7 +94,6 @@ val create :
     cache.  Results match {!Ssta.analyze} with the same [varmodel]
     bit for bit. *)
 
-val netlist : t -> Circuit.Netlist.t
 val mode : t -> mode
 
 val analyze : t -> sizes:float array -> Ssta.result
@@ -116,37 +114,20 @@ val gradient :
   t -> sizes:float array -> seed:(Ssta.result -> Ssta.seed) -> float array
 (** [snd] of {!value_and_gradient}. *)
 
-(** {2 Raw plane-level access}
-
-    The engine's cached state lives in a flat {!Arena} it owns
-    exclusively (its partials plane doubles as the point-keyed Clark
-    cache).  The sizing engine's inner loop uses these entry points to
-    evaluate timing with {e zero} per-call allocation: no result
-    snapshot, no fresh gradient array. *)
-
 val arena : t -> Arena.t
-(** The engine's arena.  Read-only for callers: after {!analyze_raw}
-    the [load], [del_*], [arr_*] planes and {!Arena.circuit_mu} /
+(** The flat {!Arena} holding the engine's cached state, owned
+    exclusively by the engine (its partials plane doubles as the
+    point-keyed Clark cache).  Read-only for callers: after {!analyze}
+    the [load], [del], [arr] planes and {!Arena.circuit_mu} /
     {!Arena.circuit_var} reflect the analysis at the last [sizes].  Do
     not run {!Arena.reverse} (or any other writer) on it — that would
     corrupt the partials cache. *)
 
-val analyze_raw : t -> sizes:float array -> unit
-(** {!analyze} without the snapshot: brings the arena planes to
-    [sizes]. *)
-
-val gradient_into :
-  t -> sizes:float array -> d_mu:float -> d_var:float -> out:float array -> unit
-(** {!gradient} with a raw constant seed [(d_mu, d_var)] and a
-    caller-owned output buffer (length [n_gates], overwritten).  Same
-    reuse machinery, same bits as the snapshot path. *)
-
 val invalidate : t -> unit
 (** Wholesale invalidation: the next {!analyze} runs a full sweep
-    (counted in [incr.full_sweep]).  Called by {!Sizing.Engine} at every
-    solve attempt boundary — recovery-ladder rungs, perturbed restarts
-    and objective switches on a reused engine.  Gradient reuse histories
-    survive (they are guarded by change stamps, not by this flag). *)
+    (counted in [incr.full_sweep]), for callers that no longer trust
+    the cached state.  Gradient reuse histories survive (they are
+    guarded by change stamps, not by this flag). *)
 
 type counters = {
   analyzes : int;  (** {!analyze} calls, including via the gradient *)

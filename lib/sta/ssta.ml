@@ -338,6 +338,11 @@ let reverse_raw ?pool ~model a ~d_mu ~d_var =
   Util.Instr.time t_reverse @@ fun () ->
   Arena.reverse ?pool ~model a ~d_mu ~d_var
 
+let reverse2_raw ?pool ~model a ~d_mu ~d_var ~d_mu2 ~d_var2 =
+  Util.Instr.incr c_gradient;
+  Util.Instr.time t_reverse @@ fun () ->
+  Arena.reverse2 ?pool ~model a ~d_mu ~d_var ~d_mu2 ~d_var2
+
 (* The exact floating-point kernels of both sweeps, re-exported so the
    incremental engine (Incr) replays bit-identical operations instead of
    maintaining a drifting copy. *)

@@ -146,6 +146,19 @@ val reverse_raw :
     gradient array: requires the state left by {!forward_raw}, fills the
     arena's [grad] plane.  Counted as [ssta.gradient]. *)
 
+val reverse2_raw :
+  ?pool:Util.Pool.t ->
+  model:Circuit.Sigma_model.t ->
+  Arena.t ->
+  d_mu:float ->
+  d_var:float ->
+  d_mu2:float ->
+  d_var2:float ->
+  unit
+(** {!reverse_raw} for two seeds in one {!Arena.reverse2} sweep: lane 1
+    fills the arena's [grad] plane, lane 2 is read with
+    {!Arena.gradient2_into}.  Counted as one [ssta.gradient]. *)
+
 (** {1 Boxed reference implementation}
 
     The original record-based sweeps, kept verbatim.  The arena-backed

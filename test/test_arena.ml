@@ -210,6 +210,69 @@ let prop_random_dag_differential =
         net;
       true)
 
+(* ---- two-lane reverse sweep ------------------------------------------------- *)
+
+let grid2 =
+  match Varmodel.of_spec "grid=2x2,global=0.4,cell=0.3" with
+  | Ok vm -> vm
+  | Error e -> failwith e
+
+(* One [reverse2] against two single-seed [reverse] sweeps on a second
+   arena: each lane's gradient Int64-equal to its seed's sweep, and for
+   independent arenas to the boxed oracle as well.  The seed pairs cover
+   the engine's basis seeds, a dead lane (all-zero seed, so its active
+   mask stays empty) and general seeds. *)
+let check_two_lane ?pool ?varmodel msg net sizes =
+  let a2 = Sta.Arena.create ?varmodel net and a1 = Sta.Arena.create ?varmodel net in
+  let n = Netlist.n_gates net in
+  let g1 = Array.make n nan and g2 = Array.make n nan and g = Array.make n nan in
+  List.iter
+    (fun ((m1, v1), (m2, v2)) ->
+      let msg = Printf.sprintf "%s seeds (%g,%g)/(%g,%g)" msg m1 v1 m2 v2 in
+      Sta.Arena.forward ?pool ~model a2 ~sizes;
+      Sta.Arena.reverse2 ?pool ~model a2 ~d_mu:m1 ~d_var:v1 ~d_mu2:m2 ~d_var2:v2;
+      Sta.Arena.gradient_into a2 g1;
+      Sta.Arena.gradient2_into a2 g2;
+      Sta.Arena.forward ?pool ~model a1 ~sizes;
+      List.iter
+        (fun (lane, (d_mu, d_var), got) ->
+          Sta.Arena.reverse ?pool ~model a1 ~d_mu ~d_var;
+          Sta.Arena.gradient_into a1 g;
+          check_floats_identical (Printf.sprintf "%s: lane %d vs reverse" msg lane) g got;
+          if varmodel = None then
+            check_floats_identical
+              (Printf.sprintf "%s: lane %d vs boxed" msg lane)
+              (Sta.Ssta.Boxed.gradient ~model net ~sizes ~seed:(fun _ ->
+                   { Sta.Ssta.d_mu; d_var }))
+              got)
+        [ (1, (m1, v1), g1); (2, (m2, v2), g2) ])
+    [ ((1., 0.), (0., 1.)); ((0., 1.), (0., 0.)); ((1., 0.37), (-2.5, 0.)) ]
+
+let prop_two_lane_differential =
+  QCheck.Test.make ~name:"two-lane reverse matches single-seed sweeps" ~count:6
+    (QCheck.make QCheck.Gen.(pair (int_range 0 10_000) (int_range 80 300)))
+    (fun (seed, n_gates) ->
+      let net = wide_dag ~n_gates (seed + 1) in
+      let rng = Util.Rng.create seed in
+      let maxs = Netlist.max_sizes net in
+      let sizes = Array.map (fun hi -> Util.Rng.uniform rng ~lo:1.0 ~hi) maxs in
+      List.iter
+        (fun (jobs, pool) ->
+          List.iter
+            (fun (vname, varmodel) ->
+              check_two_lane ?pool ?varmodel
+                (Printf.sprintf "dag%d seed=%d %s x%d" n_gates seed vname jobs)
+                net sizes)
+            [ ("independent", None); ("grid=2", Some grid2) ])
+        [ (1, None); (2, Some pool2) ];
+      true)
+
+let test_gradient2_needs_reverse2 () =
+  let arena = Sta.Arena.create (Generate.tree ()) in
+  Alcotest.check_raises "no second lane"
+    (Invalid_argument "Arena.gradient2_into: no two-lane reverse sweep has run")
+    (fun () -> Sta.Arena.gradient2_into arena (Array.make arena.Sta.Arena.n 0.))
+
 (* ---- streaming loader equivalence ------------------------------------------- *)
 
 (* Bench_stream must produce a netlist indistinguishable from
@@ -374,7 +437,16 @@ let test_steady_state_allocation () =
   if w_rev > 2. *. ceiling then
     Alcotest.failf
       "steady-state forward+reverse pair allocates %.0f words/eval (ceiling %.0f)"
-      w_rev (2. *. ceiling)
+      w_rev (2. *. ceiling);
+  let w_rev2 =
+    words_per_eval ~reps:10 (fun () ->
+        Sta.Ssta.forward_raw ~model arena ~sizes;
+        Sta.Ssta.reverse2_raw ~model arena ~d_mu:1. ~d_var:0. ~d_mu2:0. ~d_var2:1.)
+  in
+  if w_rev2 > 2. *. ceiling then
+    Alcotest.failf
+      "steady-state forward+two-lane reverse allocates %.0f words/eval (ceiling %.0f)"
+      w_rev2 (2. *. ceiling)
 
 (* ---- large-DAG smoke -------------------------------------------------------- *)
 
@@ -426,6 +498,12 @@ let () =
           Alcotest.test_case "netlist mismatch rejected" `Quick
             test_arena_netlist_mismatch;
           q prop_random_dag_differential;
+        ] );
+      ( "two-lane reverse",
+        [
+          q prop_two_lane_differential;
+          Alcotest.test_case "second lane needs reverse2" `Quick
+            test_gradient2_needs_reverse2;
         ] );
       ( "streaming loader",
         [

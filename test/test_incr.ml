@@ -5,9 +5,8 @@
    the incremental engine is bit-identical to a from-scratch Ssta
    analysis at every step — values and gradients — at 1, 2 and 4
    domains.  Further groups cover cache-hit/cutoff accounting, epsilon
-   mode, wholesale invalidation, and the solver-facing invalidation
-   edges (recovery-ladder restart, fault-injected breakdown, objective
-   switch on a reused engine). *)
+   mode, wholesale invalidation, and that sizing solves leave Sta.Incr
+   alone (they sweep a private scratch arena). *)
 
 open Circuit
 
@@ -277,104 +276,11 @@ let test_epsilon_mode_bounded_drift () =
       Alcotest.failf "epsilon drift step %d: dmu=%g dsig=%g > %g" step dmu dsig tol
   done
 
-(* ---- solver integration: invalidation edges --------------------------------- *)
+(* ---- solver integration ------------------------------------------------------ *)
 
-(* A bounded-area problem that forces real solver work (the all-min
-   start violates the delay bound). *)
-let bounded_setup () =
-  let net = Generate.tree () in
-  let unsized, _ =
-    Sizing.Engine.evaluate ~model net ~sizes:(Netlist.min_sizes net)
-  in
-  let bound = 0.9 *. Statdelay.Normal.mu unsized.Sta.Ssta.circuit in
-  (net, Sizing.Objective.Min_area_bounded { k = 0.; bound })
-
-let test_engine_incremental_bit_identical () =
-  (* The whole solver trajectory — thousands of evaluations — must not
-     move by a bit when evaluations go through the incremental engine. *)
-  let net = wide_dag ~n_gates:150 41 in
-  let solve incremental =
-    Sizing.Engine.solve
-      ~options:{ Sizing.Engine.default_options with Sizing.Engine.incremental }
-      ~model net (Sizing.Objective.Min_delay 3.)
-  in
-  let full = solve false and inc = solve true in
-  check_floats_identical "sizes" full.Sizing.Engine.sizes inc.Sizing.Engine.sizes;
-  check_normal_identical "circuit" full.Sizing.Engine.timing.Sta.Ssta.circuit
-    inc.Sizing.Engine.timing.Sta.Ssta.circuit;
-  Alcotest.(check int) "same evaluation count" full.Sizing.Engine.evaluations
-    inc.Sizing.Engine.evaluations
-
-let test_objective_switch_forces_full_sweep () =
-  let net, bounded = bounded_setup () in
-  let eng = Sta.Incr.create ~model net in
-  let s1 = Sizing.Engine.solve ~timing:eng ~model net (Sizing.Objective.Min_delay 0.) in
-  let sweeps_after_first = (Sta.Incr.counters eng).Sta.Incr.full_sweeps in
-  Alcotest.(check bool) "first solve swept" true (sweeps_after_first >= 1);
-  (* Same engine, different objective: the first attempt must not trust
-     the previous objective's cached trajectory. *)
-  let s2 = Sizing.Engine.solve ~timing:eng ~model net bounded in
-  let c = Sta.Incr.counters eng in
-  Alcotest.(check bool) "objective switch swept again" true
-    (c.Sta.Incr.full_sweeps > sweeps_after_first);
-  Alcotest.(check bool) "solves usable" true
-    (s1.Sizing.Engine.converged && s2.Sizing.Engine.converged);
-  (* And the shared-engine solve matches a fresh from-scratch solve. *)
-  let fresh = Sizing.Engine.solve ~model net bounded in
-  check_floats_identical "shared-engine sizes" fresh.Sizing.Engine.sizes
-    s2.Sizing.Engine.sizes
-
-let test_multistart_restarts_invalidate () =
-  let net, bounded = bounded_setup () in
-  let eng = Sta.Incr.create ~model net in
-  let options = { Sizing.Engine.default_options with Sizing.Engine.restarts = 2 } in
-  let _ = Sizing.Engine.solve ~options ~timing:eng ~model net bounded in
-  let c = Sta.Incr.counters eng in
-  (* initial + 2 restarts, each from an invalidated cache *)
-  Alcotest.(check bool)
-    (Printf.sprintf "full sweeps %d >= attempts 3" c.Sta.Incr.full_sweeps)
-    true
-    (c.Sta.Incr.full_sweeps >= 3)
-
-let test_fault_recovery_invalidates () =
-  (* A NaN injected into the first objective evaluation makes the initial
-     attempt break down; every recovery rung the ladder then climbs must
-     start from a wholesale-invalidated timing cache. *)
-  let net, bounded = bounded_setup () in
-  let eng = Sta.Incr.create ~model net in
-  let plan =
-    Util.Fault.plan
-      [
-        {
-          Util.Fault.kind = Util.Fault.Nan_value;
-          Util.Fault.component = Some 0;
-          Util.Fault.trigger = Util.Fault.First 1;
-        };
-      ]
-  in
-  let inject problem =
-    Nlp.Problem.map_components
-      (fun ~component f ->
-        Util.Fault.wrap plan ~component:(Nlp.Problem.component_index component) f)
-      problem
-  in
-  let s =
-    Sizing.Engine.solve
-      ~options:
-        { Sizing.Engine.default_options with Sizing.Engine.instrument = Some inject }
-      ~timing:eng ~model net bounded
-  in
-  let attempts = 1 + List.length s.Sizing.Engine.recovery in
-  let c = Sta.Incr.counters eng in
-  Alcotest.(check bool) "recovery engaged" true (s.Sizing.Engine.recovery <> []);
-  Alcotest.(check bool)
-    (Printf.sprintf "full sweeps %d >= solver attempts" c.Sta.Incr.full_sweeps)
-    true
-    (c.Sta.Incr.full_sweeps >= min attempts 2)
-
-let test_full_sweep_instr_counter () =
-  (* The invalidation edges are also observable through the global
-     incr.full_sweep counter (what statsize --profile reports). *)
+(* Sizing solves sweep a private scratch arena: no Incr work at all, and
+   one forward plus one two-lane reverse sweep per timing-cache miss. *)
+let test_engine_sweeps_scratch_arena () =
   Util.Instr.reset ();
   Util.Instr.enable ();
   Fun.protect
@@ -382,26 +288,30 @@ let test_full_sweep_instr_counter () =
       Util.Instr.disable ();
       Util.Instr.reset ())
     (fun () ->
-      let net, bounded = bounded_setup () in
-      let eng = Sta.Incr.create ~model net in
-      let _ = Sizing.Engine.solve ~timing:eng ~model net bounded in
-      let _ = Sizing.Engine.solve ~timing:eng ~model net (Sizing.Objective.Min_delay 0.) in
+      let net = Generate.tree () in
+      let unsized, _ = Sizing.Engine.evaluate ~model net ~sizes:(Netlist.min_sizes net) in
+      let bound = 0.9 *. Statdelay.Normal.mu unsized.Sta.Ssta.circuit in
+      let _ =
+        Sizing.Engine.solve ~model net (Sizing.Objective.Min_area_bounded { k = 0.; bound })
+      in
+      let _ = Sizing.Engine.solve ~model net (Sizing.Objective.Min_delay 3.) in
       let snap = Util.Instr.snapshot () in
       let count name =
         match List.assoc_opt name snap.Util.Instr.counters with Some n -> n | None -> 0
       in
-      Alcotest.(check bool) "incr.full_sweep >= 2" true (count "incr.full_sweep" >= 2);
-      Alcotest.(check bool) "incr.analyze counted" true (count "incr.analyze" > 0);
-      Alcotest.(check bool) "cutoffs or cache hits observed" true
-        (count "incr.cache_hit" + count "incr.cutoff" > 0))
+      Alcotest.(check int) "no incr.analyze" 0 (count "incr.analyze");
+      Alcotest.(check int) "no incr.gradient" 0 (count "incr.gradient");
+      Alcotest.(check bool) "cache misses counted" true (count "engine.cache_miss" > 0);
+      Alcotest.(check int) "one reverse call per miss" (count "engine.cache_miss")
+        (count "ssta.gradient"))
 
-let test_timing_engine_netlist_mismatch () =
-  let eng = Sta.Incr.create ~model (Generate.tree ()) in
+let test_arena_netlist_mismatch () =
+  let arena = Sta.Arena.create (Generate.tree ()) in
   Alcotest.check_raises "mismatch"
-    (Invalid_argument "Engine.solve: timing engine bound to a different netlist")
+    (Invalid_argument "Engine: arena was created for a different netlist")
     (fun () ->
       ignore
-        (Sizing.Engine.solve ~timing:eng ~model (Generate.chain ~length:5 ())
+        (Sizing.Engine.build_problem ~arena ~model (Generate.chain ~length:5 ())
            (Sizing.Objective.Min_delay 0.)))
 
 let test_epsilon_rejects_negative () =
@@ -434,15 +344,7 @@ let () =
         ] );
       ( "engine",
         [
-          test_case "incremental solve bit-identical" `Quick
-            test_engine_incremental_bit_identical;
-          test_case "objective switch invalidates" `Quick
-            test_objective_switch_forces_full_sweep;
-          test_case "multi-start restarts invalidate" `Quick
-            test_multistart_restarts_invalidate;
-          test_case "fault recovery invalidates" `Quick test_fault_recovery_invalidates;
-          test_case "incr.full_sweep counter" `Quick test_full_sweep_instr_counter;
-          test_case "netlist mismatch rejected" `Quick
-            test_timing_engine_netlist_mismatch;
+          test_case "solves run no incr sweeps" `Quick test_engine_sweeps_scratch_arena;
+          test_case "netlist mismatch rejected" `Quick test_arena_netlist_mismatch;
         ] );
     ]

@@ -193,6 +193,94 @@ let test_persistent_fault_min_delay_adopts_gp () =
   Alcotest.(check bool) "gp fallback counted" true
     (count "engine.recovery.gp_fallback" >= 1)
 
+(* ---- fault-free stall: the fallbacks cannot win and never run ---------------- *)
+
+(* Inner solvers capped at two iterations on every rung: the initial
+   Newton attempt, the perturbed restart, the flipped-to-L-BFGS
+   alternate and the gentler-penalty rung all stall without a fault, on
+   an unconstrained objective whose best iterate is finite with zero
+   violation.  No fallback can be more feasible than that, so neither
+   fallback rung may run, and the answer is the best rung's iterate. *)
+let test_feasible_stall_skips_fallbacks () =
+  let net = Circuit.Generate.tree () in
+  let k = 1. in
+  let obj = Objective.Min_delay k in
+  let base = Engine.default_options.Engine.solver in
+  let solver =
+    {
+      base with
+      Nlp.Auglag.inner_solver =
+        `Newton { Nlp.Newton.default_options with Nlp.Newton.max_iterations = 2 };
+      Nlp.Auglag.inner = { base.Nlp.Auglag.inner with Nlp.Lbfgs.max_iterations = 2 };
+    }
+  in
+  let options = { Engine.default_options with Engine.solver } in
+  let count name =
+    let snap = Util.Instr.snapshot ~all:true () in
+    Option.value ~default:0 (List.assoc_opt name snap.Util.Instr.counters)
+  in
+  Util.Instr.enable ();
+  let gp0 = count "engine.recovery.gp_fallback"
+  and base0 = count "engine.recovery.baseline_fallback" in
+  let s = Engine.solve ~options ~model net obj in
+  Alcotest.(check int) "gp fallback not run" gp0 (count "engine.recovery.gp_fallback");
+  Alcotest.(check int) "baseline fallback not run" base0
+    (count "engine.recovery.baseline_fallback");
+  Alcotest.(check bool) "not converged" false s.Engine.converged;
+  Alcotest.(check bool) "stalled" true (s.Engine.termination = Nlp.Auglag.Stalled);
+  (match rungs s with
+  | [ Engine.Initial; Engine.Perturbed_restart; Engine.Alternate_solver; Engine.Gentler_penalty ]
+    ->
+      ()
+  | r ->
+      Alcotest.failf "expected the trail to end at gentler-penalty, got: %s"
+        (String.concat ", " (List.map Engine.rung_name r)));
+  Alcotest.(check (float 0.)) "feasible" 0. s.Engine.max_violation;
+  (* Replay each rung alone (no ladder, same solver and start) and keep
+     the first best, as the ladder does: finite and feasible everywhere,
+     so the lowest mu + k sigma wins. *)
+  let lo = Circuit.Netlist.min_sizes net and hi = Circuit.Netlist.max_sizes net in
+  let mid = Array.mapi (fun i l -> 0.5 *. (l +. hi.(i))) lo in
+  let perturbed =
+    let rng = Util.Rng.keyed options.Engine.restart_seed ~key:1 in
+    Array.mapi
+      (fun i m ->
+        Util.Numerics.clamp ~lo:lo.(i) ~hi:hi.(i)
+          (m +. (0.1 *. (hi.(i) -. lo.(i)) *. Util.Rng.uniform rng ~lo:(-1.) ~hi:1.)))
+      mid
+  in
+  let alone solver x0 =
+    Engine.solve
+      ~options:{ options with Engine.solver; start = `Given x0; recovery = false }
+      ~model net obj
+  in
+  let attempts =
+    [
+      alone solver mid;
+      alone solver perturbed;
+      alone { solver with Nlp.Auglag.inner_solver = `Lbfgs } mid;
+      alone
+        {
+          solver with
+          Nlp.Auglag.penalty_growth = Float.min 3. solver.Nlp.Auglag.penalty_growth;
+          Nlp.Auglag.initial_penalty = Float.max 1. (solver.Nlp.Auglag.initial_penalty /. 10.);
+          Nlp.Auglag.violation_decrease = 0.5;
+          Nlp.Auglag.outer_iterations = 2 * solver.Nlp.Auglag.outer_iterations;
+        }
+        mid;
+    ]
+  in
+  let value (a : Engine.solution) = a.Engine.mu +. (k *. a.Engine.sigma) in
+  let best =
+    List.fold_left
+      (fun (b : Engine.solution) a -> if value b <= value a then b else a)
+      (List.hd attempts) (List.tl attempts)
+  in
+  Alcotest.(check bool) "sizes are the best rung's iterate" true
+    (Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       best.Engine.sizes s.Engine.sizes)
+
 let test_no_recovery_reports_typed_failure () =
   (* Same persistent fault with the ladder off: a single attempt, a typed
      Breakdown, usable diagnosis, no exception. *)
@@ -317,6 +405,41 @@ let test_recovery_counters () =
     (count "engine.recovery.perturbed_restart" >= 1);
   Alcotest.(check bool) "auglag breakdowns counted" true (count "auglag.breakdowns" >= 1)
 
+(* ---- command line: a failing run still writes its profile ----------------- *)
+
+(* The profile exists to explain slow or failed solves, so an
+   unconverged `statsize size` and a non-optimal `statsize gp` must
+   write it before they exit 2. *)
+let statsize =
+  lazy
+    (List.find_opt Sys.file_exists
+       [ "../bin/statsize.exe"; "_build/default/bin/statsize.exe" ])
+
+let check_exit_2_keeps_profile args =
+  match Lazy.force statsize with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+      let profile = Filename.temp_file "statsize_profile" ".json" in
+      Sys.remove profile;
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists profile then Sys.remove profile)
+        (fun () ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s %s --profile %s > /dev/null" exe args
+                 (Filename.quote profile))
+          in
+          Alcotest.(check int) "exit code" 2 code;
+          Alcotest.(check bool) "profile written" true (Sys.file_exists profile);
+          let json = In_channel.with_open_text profile In_channel.input_all in
+          Alcotest.(check bool) "profile holds the counters" true
+            (String.length json > 0 && json.[0] = '{'))
+
+let test_cli_unconverged_size_profile () =
+  check_exit_2_keeps_profile "size -c tree -o min-delay --max-evals 10"
+
+let test_cli_infeasible_gp_profile () = check_exit_2_keeps_profile "gp -c tree --bound 0.1"
+
 let () =
   Alcotest.run "resilience"
     [
@@ -338,6 +461,8 @@ let () =
             test_gp_infeasible_falls_through_to_baseline;
           Alcotest.test_case "min-delay persistent fault adopts gp" `Quick
             test_persistent_fault_min_delay_adopts_gp;
+          Alcotest.test_case "feasible stall skips fallbacks" `Quick
+            test_feasible_stall_skips_fallbacks;
           Alcotest.test_case "no-recovery typed failure" `Quick
             test_no_recovery_reports_typed_failure;
           Alcotest.test_case "deeper rungs" `Quick test_repeated_fault_engages_deeper_rung;
@@ -353,4 +478,11 @@ let () =
         [ Alcotest.test_case "faulted solve" `Quick test_faulted_solve_deterministic ] );
       ( "instrumentation",
         [ Alcotest.test_case "recovery counters" `Quick test_recovery_counters ] );
+      ( "cli",
+        [
+          Alcotest.test_case "unconverged size keeps its profile" `Quick
+            test_cli_unconverged_size_profile;
+          Alcotest.test_case "infeasible gp keeps its profile" `Quick
+            test_cli_infeasible_gp_profile;
+        ] );
     ]
