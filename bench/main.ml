@@ -20,7 +20,6 @@
      dune exec bench/main.exe -- table1|table2|table3|example|yield|mc|ablation
      dune exec bench/main.exe -- --jobs 4 parallel   # serial vs pooled SSTA
      dune exec bench/main.exe -- --jobs 4 mcsta      # serial vs pooled MC sampling
-     dune exec bench/main.exe -- incremental         # incremental vs scratch solves
      dune exec bench/main.exe -- --jobs 4 table1     # pooled table regeneration
 
    [--jobs N] creates an N-domain Util.Pool; the sections that evaluate
@@ -324,7 +323,7 @@ let run_gp () =
                   Printf.sprintf "%.1e" res;
                   Printf.sprintf "%.1e" sol.Sizing.Gp.duality_gap;
                   string_of_int sol.Sizing.Gp.newton_iterations;
-                  Printf.sprintf "%.3f" sol.Sizing.Gp.wall_time;
+                  Printf.sprintf "%.3f" sol.Sizing.Gp.cpu_time;
                 ])
         circuits;
       Util.Table.print t;
@@ -389,112 +388,6 @@ let run_gp () =
         flag "apex2*: GP warm start no longer saves evaluations (%d >= %d)"
           warm.Sizing.Engine.evaluations cold.Sizing.Engine.evaluations;
       if !failed then exit 1)
-
-(* ---- incremental re-timing --------------------------------------------------- *)
-
-(* Sta.Incr serves the daemon's analyze, whatif and gradient requests:
-   sparse edits against a committed sizing.  Replays a stream of whatif
-   deltas of 1-8 gates on apex1* and k2* through one warmed engine —
-   [Incr.analyze] and [Incr.value_and_gradient] (mu + 3 sigma) — and
-   checks every value and gradient bit against a from-scratch arena
-   sweep.  Exits non-zero if any bit differs or the mean dirty-gate
-   fraction reaches 1.0 (the engine degenerated to full sweeps), so CI
-   can use this section as a smoke test. *)
-let run_incremental ?pool () =
-  section "Incremental SSTA (dirty-cone re-timing) for sparse whatif edits" (fun () ->
-      let edits = 200 in
-      let cases =
-        [ ("apex1*", Circuit.Generate.apex1_like ()); ("k2*", Circuit.Generate.k2_like ()) ]
-      in
-      let t =
-        Util.Table.create
-          ~header:
-            [ "circuit"; "edits"; "scratch"; "incremental"; "speedup"; "dirty fraction"; "bit-identical" ]
-      in
-      for i = 1 to 5 do
-        Util.Table.set_align t i Util.Table.Right
-      done;
-      let bits = Int64.bits_of_float in
-      let same (x : float) y = Int64.equal (bits x) (bits y) in
-      let same_result (a : Sta.Ssta.result) (b : Sta.Ssta.result) =
-        let n (x : Statdelay.Normal.t) (y : Statdelay.Normal.t) =
-          same x.Statdelay.Normal.mu y.Statdelay.Normal.mu
-          && same x.Statdelay.Normal.var y.Statdelay.Normal.var
-        in
-        n a.Sta.Ssta.circuit b.Sta.Ssta.circuit
-        && Array.for_all2 n a.Sta.Ssta.arrival b.Sta.Ssta.arrival
-        && Array.for_all2 same a.Sta.Ssta.loads b.Sta.Ssta.loads
-      in
-      let seed = Sta.Ssta.mu_plus_k_sigma_seed 3. in
-      let bad = ref false in
-      List.iteri
-        (fun ci (name, net) ->
-          let g = Circuit.Netlist.n_gates net in
-          let lo = Circuit.Netlist.min_sizes net and hi = Circuit.Netlist.max_sizes net in
-          let rng = Util.Rng.create (17 + ci) in
-          let committed = Array.init g (fun i -> Util.Rng.uniform rng ~lo:lo.(i) ~hi:hi.(i)) in
-          let requests =
-            Array.init edits (fun _ ->
-                let sizes = Array.copy committed in
-                for _ = 1 to 1 + Util.Rng.int rng 8 do
-                  let gate = Util.Rng.int rng g in
-                  sizes.(gate) <- Util.Rng.uniform rng ~lo:lo.(gate) ~hi:hi.(gate)
-                done;
-                sizes)
-          in
-          (* Alternate the two request kinds, as whatif and gradient
-             requests interleave on a served circuit. *)
-          let eng = Sta.Incr.create ?pool ~model net in
-          ignore (Sta.Incr.analyze eng ~sizes:committed);
-          let c0 = Sta.Incr.counters eng in
-          let t0 = Util.Instr.now_ns () in
-          let inc =
-            Array.mapi
-              (fun i sizes ->
-                if i mod 2 = 0 then (Sta.Incr.analyze eng ~sizes, [||])
-                else Sta.Incr.value_and_gradient eng ~sizes ~seed)
-              requests
-          in
-          let t_inc = float_of_int (Util.Instr.now_ns () - t0) *. 1e-9 in
-          let c1 = Sta.Incr.counters eng in
-          let arena = Sta.Arena.create net in
-          let t0 = Util.Instr.now_ns () in
-          let scratch =
-            Array.mapi
-              (fun i sizes ->
-                if i mod 2 = 0 then (Sta.Ssta.analyze ?pool ~arena ~model net ~sizes, [||])
-                else Sta.Ssta.value_and_gradient ?pool ~arena ~model net ~sizes ~seed)
-              requests
-          in
-          let t_scratch = float_of_int (Util.Instr.now_ns () - t0) *. 1e-9 in
-          let identical =
-            Array.for_all2
-              (fun (ra, ga) (rb, gb) -> same_result ra rb && Array.for_all2 same ga gb)
-              inc scratch
-          in
-          let frac =
-            float_of_int (c1.Sta.Incr.gates_reevaluated - c0.Sta.Incr.gates_reevaluated)
-            /. float_of_int (g * (c1.Sta.Incr.analyzes - c0.Sta.Incr.analyzes))
-          in
-          if frac >= 1.0 || not identical then bad := true;
-          Util.Table.add_row t
-            [
-              name;
-              string_of_int edits;
-              Printf.sprintf "%.1f ms" (t_scratch *. 1e3);
-              Printf.sprintf "%.1f ms" (t_inc *. 1e3);
-              Printf.sprintf "%.2fx" (t_scratch /. t_inc);
-              Printf.sprintf "%.3f" frac;
-              (if identical then "yes" else "NO");
-            ])
-        cases;
-      Util.Table.print t;
-      if !bad then begin
-        Printf.printf
-          "ERROR: incremental sweeps diverged from scratch or dirty fraction >= 1.0\n";
-        exit 1
-      end;
-      print_newline ())
 
 (* ---- flat timing arena ------------------------------------------------------ *)
 
@@ -860,9 +753,8 @@ let run_correlated () =
 (* ---- timing-as-a-service daemon --------------------------------------------- *)
 
 (* Drives an in-process Server through its programmatic API: per-kind
-   request latency against a warmed engine (the daemon's whole point is
-   that the second analyze is a dirty-cone sweep, not a full one), the
-   served-vs-batch bit-identity spot check, and an overload burst
+   request latency against a warmed engine (a repeated analyze is a
+   cache hit, any other sizes one full sweep), the served-vs-batch bit-identity spot check, and an overload burst
    against a tiny queue showing the shedding policy sacrificing solves
    before analyses.  Exits non-zero when identity or the conservation
    law breaks, so CI can gate on this section. *)
@@ -1411,7 +1303,7 @@ let run_json ~out ~sizes () =
 let usage () =
   Printf.eprintf
     "usage: main.exe [--jobs N] [--out FILE] [--sizes N,N,...] \
-     [all|tables|micro|parallel|arena|correlated|mcsta|resilience|gp|incremental|serve|table1|table2|table3|example|yield|mc|corner|ablation|extensions|scale|json]...\n"
+     [all|tables|micro|parallel|arena|correlated|mcsta|resilience|gp|serve|table1|table2|table3|example|yield|mc|corner|ablation|extensions|scale|json]...\n"
 
 let () =
   let out = ref None and size_list = ref [] in
@@ -1460,7 +1352,6 @@ let () =
         run_correlated ();
         run_mcsta ~jobs ();
         run_gp ();
-        run_incremental ?pool ();
         run_micro ()
     | "tables" -> run_tables ?pool ()
     | "micro" -> run_micro ()
@@ -1471,7 +1362,6 @@ let () =
     | "resilience" -> run_resilience ()
     | "gp" -> run_gp ()
     | "serve" -> run_serve ()
-    | "incremental" -> run_incremental ?pool ()
     | "table1" -> run_table1 ?pool ()
     | "table2" -> run_table2 ()
     | "table3" -> run_table3 ()

@@ -75,6 +75,16 @@ let sizes_arg =
   let doc = "Uniform speed factor applied to every gate (default 1.0)." in
   Arg.(value & opt float 1.0 & info [ "sizes" ] ~docv:"S" ~doc)
 
+(* The [--sizes] vector: [size] at every gate, capped at the gate's
+   maximum.  A non-finite value or one below 1 exits 1. *)
+let uniform_sizes net size =
+  if not (Float.is_finite size && size >= 1.) then begin
+    Printf.eprintf "statsize: --sizes must be a finite speed factor >= 1, got %g\n" size;
+    exit 1
+  end;
+  Array.init (Circuit.Netlist.n_gates net) (fun i ->
+      min size (Circuit.Netlist.gate net i).Circuit.Netlist.cell.Circuit.Cell.max_size)
+
 let jobs_arg =
   let doc =
     "Evaluate the statistical timing sweeps on N domains (a Util.Pool; results \
@@ -144,13 +154,10 @@ let analyze_cmd =
         Printf.eprintf "statsize: %s\n" msg;
         exit 1
     | Ok net ->
+        let sizes = uniform_sizes net size in
         with_runtime ~jobs ~profile @@ fun pool ->
         let model = model_of_ratio sigma_ratio in
         let n = Circuit.Netlist.n_gates net in
-        let sizes =
-          Array.init n (fun i ->
-              min size (Circuit.Netlist.gate net i).Circuit.Netlist.cell.Circuit.Cell.max_size)
-        in
         if json then begin
           (* The serve protocol's analyze "result" object, emitted from a
              batch evaluation: byte-equality against a daemon reply's
@@ -456,7 +463,7 @@ let gp_cmd =
           sol.Sizing.Gp.centerings sol.Sizing.Gp.newton_iterations;
         Printf.printf "  duality gap     %.3e\n" sol.Sizing.Gp.duality_gap;
         Format.printf "  KKT certificate %a@." Nlp.Check.pp_kkt sol.Sizing.Gp.kkt;
-        Printf.printf "  wall time       %.3f s\n" sol.Sizing.Gp.wall_time;
+        Printf.printf "  cpu time        %.3f s\n" sol.Sizing.Gp.cpu_time;
         if print_sizes then
           Array.iter
             (fun (g : Circuit.Netlist.gate) ->
@@ -527,6 +534,7 @@ let mc_cmd =
           Printf.eprintf "statsize: --samples must be >= 1\n";
           exit 1
         end;
+        let sizes = uniform_sizes net size in
         with_runtime ~jobs ~profile @@ fun pool ->
         let model = model_of_ratio sigma_ratio in
         Format.printf "%a@." Circuit.Netlist.pp_summary net;
@@ -580,13 +588,6 @@ let mc_cmd =
              / 99.8%%)\n"
         end
         else begin
-          let n = Circuit.Netlist.n_gates net in
-          let sizes =
-            Array.init n (fun i ->
-                min size
-                  (Circuit.Netlist.gate net i).Circuit.Netlist.cell
-                    .Circuit.Cell.max_size)
-          in
           if not (Circuit.Varmodel.is_independent vm) then
             Printf.printf "variation model: %s\n" (Circuit.Varmodel.to_string vm);
           let res = Sta.Ssta.analyze ?pool ~varmodel:vm ~model net ~sizes in

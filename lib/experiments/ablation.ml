@@ -7,7 +7,7 @@ type formulation_row = {
   form : string;
   inner_iterations : int;
   evaluations : int;
-  wall_time : float;
+  cpu_time : float;
   objective_value : float;
   converged : bool;
 }
@@ -25,7 +25,7 @@ type solver_row = {
   solver_name : string;
   s_iterations : int;
   s_evaluations : int;
-  s_wall_time : float;
+  s_cpu_time : float;
   s_objective : float;
   s_converged : bool;
 }
@@ -58,7 +58,7 @@ let formulation_ablation () =
         form;
         inner_iterations = s.Engine.iterations;
         evaluations = s.Engine.evaluations;
-        wall_time = s.Engine.wall_time;
+        cpu_time = s.Engine.cpu_time;
         objective_value = s.Engine.mu +. (3. *. s.Engine.sigma);
         converged = s.Engine.converged;
       })
@@ -116,7 +116,7 @@ let solver_ablation net deadline =
       solver_name;
       s_iterations = s.Engine.iterations;
       s_evaluations = s.Engine.evaluations;
-      s_wall_time = s.Engine.wall_time;
+      s_cpu_time = s.Engine.cpu_time;
       s_objective = s.Engine.area;
       s_converged = s.Engine.converged;
     }
@@ -168,7 +168,7 @@ let print r =
           f.form;
           string_of_int f.inner_iterations;
           string_of_int f.evaluations;
-          Report.cpu_string f.wall_time;
+          Report.cpu_string f.cpu_time;
           Util.Table.fmt_float ~decimals:3 f.objective_value;
           string_of_bool f.converged;
         ])
@@ -209,7 +209,7 @@ let print r =
           s.solver_name;
           string_of_int s.s_iterations;
           string_of_int s.s_evaluations;
-          Report.cpu_string s.s_wall_time;
+          Report.cpu_string s.s_cpu_time;
           Util.Table.fmt_float s.s_objective;
           string_of_bool s.s_converged;
         ])

@@ -21,7 +21,7 @@ type formulation_row = {
   form : string;  (** ["eq15 (linearised)"] or ["eq14 (1/S)"] *)
   inner_iterations : int;
   evaluations : int;
-  wall_time : float;
+  cpu_time : float;
   objective_value : float;  (** final {m \mu + 3\sigma} *)
   converged : bool;
 }
@@ -39,7 +39,7 @@ type solver_row = {
   solver_name : string;  (** ["projected L-BFGS"] or ["trust-region Newton-CG"] *)
   s_iterations : int;
   s_evaluations : int;
-  s_wall_time : float;
+  s_cpu_time : float;
   s_objective : float;  (** final objective value *)
   s_converged : bool;
 }

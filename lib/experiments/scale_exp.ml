@@ -34,9 +34,9 @@ let run ?(model = Circuit.Sigma_model.paper_default)
         in
         {
           gates;
-          min_delay_time = fast.Engine.wall_time;
+          min_delay_time = fast.Engine.cpu_time;
           min_delay_iterations = fast.Engine.iterations;
-          bounded_time = bounded.Engine.wall_time;
+          bounded_time = bounded.Engine.cpu_time;
           bounded_iterations = bounded.Engine.iterations;
           speedup = unsized.Engine.mu /. fast.Engine.mu;
         })

@@ -3,7 +3,7 @@
     Table 1's headline is that the statistical sizing NLP is solvable "for
     circuits of up to a few thousand gates" (hours on 1999 hardware).
     This experiment sweeps random mapped DAGs from 100 to 5000 cells and
-    reports the wall time and iteration counts of a delay minimisation and
+    reports the CPU time and iteration counts of a delay minimisation and
     an area minimisation under a delay bound — demonstrating the paper's
     scale and one notch beyond it. *)
 

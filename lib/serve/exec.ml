@@ -3,12 +3,12 @@
 
    A [target] bundles everything the daemon keeps warm for a circuit:
    the netlist, the sigma model, the committed speed factors, and a
-   persistent Sta.Incr engine whose dirty-cone cache makes consecutive
-   analyze/whatif/gradient requests against the same circuit cheap.
-   Size requests solve on the sizing engine's own scratch arena and
-   leave that cache alone.  All functions here run on
-   the daemon's single executor thread (or inside the sim harness's
-   single-threaded state) — no locking.
+   persistent Sta.Incr engine that answers analyze/whatif/gradient
+   requests with full sweeps over one warm arena (a repeated analyze at
+   identical sizes is a cache hit).  Size requests solve on the sizing
+   engine's own scratch arena and leave that cache alone.  All
+   functions here run on the daemon's single executor thread (or inside
+   the sim harness's single-threaded state) — no locking.
 
    Robustness contract:
    - [exec] never raises: malformed inputs become [Bad_request],
@@ -25,13 +25,8 @@ type target = {
   model : Circuit.Sigma_model.t;
   pool : Util.Pool.t option;
   mutable sizes : float array;  (* committed speed factors *)
-  mutable incr : Sta.Incr.t;  (* warmed dirty-cone engine *)
+  mutable incr : Sta.Incr.t;  (* warmed memoized engine *)
 }
-
-let make_incr ?pool ~model net =
-  match pool with
-  | Some pool -> Sta.Incr.create ~pool ~model net
-  | None -> Sta.Incr.create ~model net
 
 let create ?pool ?sizes ~model net =
   let sizes =
@@ -41,9 +36,9 @@ let create ?pool ?sizes ~model net =
         Array.copy s
     | None -> Circuit.Netlist.min_sizes net
   in
-  { net; model; pool; sizes; incr = make_incr ?pool ~model net }
+  { net; model; pool; sizes; incr = Sta.Incr.create ?pool ~model net }
 
-let rebuild_incr t = t.incr <- make_incr ?pool:t.pool ~model:t.model t.net
+let rebuild_incr t = t.incr <- Sta.Incr.create ?pool:t.pool ~model:t.model t.net
 
 exception Bad of string
 

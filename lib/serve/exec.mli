@@ -2,7 +2,7 @@
 
     A {!target} bundles what the daemon keeps warm per circuit: the
     netlist, sigma model, committed speed factors and a persistent
-    {!Sta.Incr} dirty-cone engine that serves analyze, whatif and
+    {!Sta.Incr} memoized engine that serves analyze, whatif and
     gradient requests (size requests solve on the sizing engine's own
     scratch arena).  Everything here runs on a single
     thread (the daemon's executor, or the sim harness's state) — no
@@ -13,15 +13,15 @@
     answered with the graceful-degradation rung (analyze/whatif: a
     deterministic mean-only {!Sta.Dsta} sweep, flagged [degraded]) or a
     typed [Timeout] (gradient/size); an unexpected exception rebuilds
-    the warmed engine so no half-updated incremental state survives
-    into the next request. *)
+    the warmed engine so no half-updated engine state survives into the
+    next request. *)
 
 type target = {
   net : Circuit.Netlist.t;
   model : Circuit.Sigma_model.t;
   pool : Util.Pool.t option;
   mutable sizes : float array;  (** committed speed factors *)
-  mutable incr : Sta.Incr.t;  (** warmed dirty-cone engine *)
+  mutable incr : Sta.Incr.t;  (** warmed memoized engine *)
 }
 
 val create :

@@ -7,8 +7,7 @@
    cold circuit warms it, evicting the least-recently-used warm entry
    once more than [capacity] would be live.  Committed sizes survive
    eviction (copied back into the entry), so a re-warmed circuit resumes
-   from its last sizing — only the incremental cache is lost (the first
-   analyze after re-warming is a full sweep).
+   from its last sizing — only the engine's cached sweep is lost.
 
    Single-threaded: owned by the daemon's executor. *)
 

@@ -5,8 +5,8 @@
     {!Exec.target} whose {!Sta.Incr} engine owns a full timing arena —
     is bounded: at most [capacity] targets are live, and warming one
     more evicts the least recently used ([serve.evicted] counter).
-    Committed sizes survive eviction; only the incremental cache is
-    lost, so the first analyze after a re-warm is a full sweep.
+    Committed sizes survive eviction; only the engine's cached sweep is
+    lost.
 
     Single-threaded — owned by the daemon's executor thread. *)
 

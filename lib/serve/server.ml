@@ -19,7 +19,7 @@
      breaking down, with typed [quarantined] replies;
    - solves run on the sizing engine's own scratch arena, and an
      exception escaping Exec rebuilds the warmed engine, so poisoned
-     incremental state never crosses requests;
+     engine state never crosses requests;
    - shutdown: SIGTERM/SIGINT finish the in-flight request and answer
      every queued one with a typed [shutting_down]; EOF on stdin
      instead finishes the remaining queue before exiting.

@@ -1,7 +1,7 @@
 (* The registered invariant suite the harness runs after every op.
 
-   The differential checks are bitwise: in exact mode the incremental
-   engine, the arena sweeps, the boxed reference sweeps and every pooled
+   The differential checks are bitwise: the warm Sta.Incr engine, the
+   arena sweeps, the boxed reference sweeps and every pooled
    configuration must agree to the last Int64 bit (the repo-wide
    determinism contract).  The remaining checks are structural: corner
    envelopes, correlation-matrix sanity, recovery-ladder soundness under
@@ -94,7 +94,7 @@ let results_identical what (a : Sta.Ssta.result) (b : Sta.Ssta.result) =
 
 (* The heart of the harness: after EVERY op, the warm incremental engine
    must reproduce a from-scratch arena sweep bit-for-bit.  This is the
-   check that catches Corrupt_cache, stale dirty-cone state, missed
+   check that catches Corrupt_cache, stale cache hits, missed
    invalidations.  On Analyze/Gradient ops the scratch sweep is also
    cross-checked against every pooled domain configuration. *)
 let incr_vs_scratch (st : State.t) op =
@@ -488,8 +488,7 @@ let serve_sound (st : State.t) _ =
       | Op.Srv_degraded, got ->
           shape "serve degraded" "the flagged mean-only rung" got
 
-(* Engine lifetime counters never go backwards; full sweeps only happen
-   on cold or invalidated engines. *)
+(* Engine lifetime counters never go backwards. *)
 let monotone_counters (st : State.t) _ =
   let c = Sta.Incr.counters st.State.incr in
   let p = st.State.prev_counters in
@@ -497,17 +496,9 @@ let monotone_counters (st : State.t) _ =
     [
       ("analyzes", c.Sta.Incr.analyzes, p.Sta.Incr.analyzes);
       ("cache_hits", c.Sta.Incr.cache_hits, p.Sta.Incr.cache_hits);
-      ("full_sweeps", c.Sta.Incr.full_sweeps, p.Sta.Incr.full_sweeps);
       ( "gates_reevaluated",
         c.Sta.Incr.gates_reevaluated,
         p.Sta.Incr.gates_reevaluated );
-      ("cutoffs", c.Sta.Incr.cutoffs, p.Sta.Incr.cutoffs);
-      ("gradients", c.Sta.Incr.gradients, p.Sta.Incr.gradients);
-      ("phase1_reused", c.Sta.Incr.phase1_reused, p.Sta.Incr.phase1_reused);
-      ( "phase1_recomputed",
-        c.Sta.Incr.phase1_recomputed,
-        p.Sta.Incr.phase1_recomputed );
-      ("partials_reused", c.Sta.Incr.partials_reused, p.Sta.Incr.partials_reused);
     ]
   in
   st.State.prev_counters <- c;

@@ -236,10 +236,10 @@ let apply t op =
          else Some (Sta.Arena.create ~varmodel:vm t.net))
   | Op.Corrupt_cache { gate; bump } ->
       (* Fault-inject the engine's cached state: poke the arrival-mean
-         plane of the incremental arena.  A cold or invalidated engine
-         overwrites the poke on its next full sweep; a warm one serves
-         the corrupt value from cache — which the differential
-         invariants must catch. *)
+         plane of its arena.  A cold or invalidated engine, or one asked
+         for other sizes, overwrites the poke on its next sweep; a warm
+         one at unchanged sizes serves the corrupt value from cache —
+         which the differential invariants must catch. *)
       let g = resolve_gate t gate in
       let arena = Sta.Incr.arena t.incr in
       let g' = (Circuit.Netlist.flat t.net).Circuit.Netlist.perm.(g) in

@@ -73,7 +73,7 @@ type solution = {
   mu : float;
   sigma : float;
   area : float;
-  wall_time : float;
+  cpu_time : float;
   evaluations : int;
   iterations : int;
   max_violation : float;
@@ -250,7 +250,7 @@ let trivial_solution ?pool ~arena ~model net objective sizes started =
     mu = Normal.mu timing.Sta.Ssta.circuit;
     sigma = Normal.sigma timing.Sta.Ssta.circuit;
     area;
-    wall_time = Sys.time () -. started;
+    cpu_time = Sys.time () -. started;
     evaluations = 1;
     iterations = 0;
     max_violation = 0.;
@@ -370,7 +370,7 @@ let rec solve_impl ?(options = default_options) ?pool ~arena ~model net objectiv
       in
       {
         inner with
-        wall_time = Sys.time () -. started;
+        cpu_time = Sys.time () -. started;
         evaluations = warm.evaluations + inner.evaluations;
         recovery = warm.recovery @ inner.recovery;
       }
@@ -591,7 +591,7 @@ let rec solve_impl ?(options = default_options) ?pool ~arena ~model net objectiv
               mu = Normal.mu timing.Sta.Ssta.circuit;
               sigma = Normal.sigma timing.Sta.Ssta.circuit;
               area;
-              wall_time = Sys.time () -. started;
+              cpu_time = Sys.time () -. started;
               evaluations = !total_evals;
               iterations = report.Nlp.Auglag.inner_iterations;
               max_violation = solver_violation;
@@ -608,7 +608,7 @@ let rec solve_impl ?(options = default_options) ?pool ~arena ~model net objectiv
               mu = nc;
               sigma = sc;
               area;
-              wall_time = Sys.time () -. started;
+              cpu_time = Sys.time () -. started;
               evaluations = !total_evals;
               iterations = 0;
               max_violation;
@@ -626,7 +626,7 @@ let rec solve_impl ?(options = default_options) ?pool ~arena ~model net objectiv
             mu = Normal.mu timing.Sta.Ssta.circuit;
             sigma = Normal.sigma timing.Sta.Ssta.circuit;
             area;
-            wall_time = Sys.time () -. started;
+            cpu_time = Sys.time () -. started;
             evaluations = !total_evals;
             iterations = report.Nlp.Auglag.inner_iterations;
             max_violation = report.Nlp.Auglag.max_violation;

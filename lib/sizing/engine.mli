@@ -97,7 +97,7 @@ type solution = {
   mu : float;  (** {m \mu_{T_{max}}} at the solution *)
   sigma : float;  (** {m \sigma_{T_{max}}} at the solution *)
   area : float;  (** {m \sum_i area_i S_i} *)
-  wall_time : float;  (** seconds spent in [solve] *)
+  cpu_time : float;  (** CPU seconds ([Sys.time]) spent in [solve] *)
   evaluations : int;
       (** objective/constraint evaluations, summed over every attempt *)
   iterations : int;  (** inner solver iterations of the accepted attempt *)

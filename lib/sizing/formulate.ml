@@ -403,7 +403,7 @@ let solve ?(solver = default_solver_options) ?(start = `Mid) t =
     mu = Normal.mu timing.Sta.Ssta.circuit;
     sigma = Normal.sigma timing.Sta.Ssta.circuit;
     area;
-    wall_time = Sys.time () -. started;
+    cpu_time = Sys.time () -. started;
     evaluations = report.Nlp.Auglag.evaluations;
     iterations = report.Nlp.Auglag.inner_iterations;
     max_violation = report.Nlp.Auglag.max_violation;

@@ -259,7 +259,7 @@ type solution = {
   newton_iterations : int;
   duality_gap : float;
   kkt : Nlp.Check.kkt;
-  wall_time : float;
+  cpu_time : float;
 }
 
 (* Mutable solver workspace over a flat model. *)
@@ -789,7 +789,7 @@ let finish net gp_obj ~status ~sizes_new ~delay ~n_variables ~n_constraints
     newton_iterations;
     duality_gap;
     kkt;
-    wall_time = Sys.time () -. started;
+    cpu_time = Sys.time () -. started;
   }
 
 let rec solve ?(options = default_options) net gp_obj =

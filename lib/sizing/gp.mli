@@ -96,7 +96,7 @@ type solution = {
       (** first-order certificate at the solution, computed by
           {!Nlp.Check.kkt} over the full log-space GP with the barrier
           dual estimates {m \lambda_j = 1/(t\,(-g_j))} *)
-  wall_time : float;
+  cpu_time : float;  (** CPU seconds ([Sys.time]) spent in [solve] *)
 }
 
 val solve : ?options:options -> Circuit.Netlist.t -> objective -> solution

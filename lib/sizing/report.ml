@@ -25,7 +25,7 @@ let row (s : Engine.solution) =
     Table.fmt_float ~decimals:2 s.Engine.mu;
     Table.fmt_float ~decimals:3 s.Engine.sigma;
     Table.fmt_float ~decimals:0 s.Engine.area;
-    cpu_string s.Engine.wall_time;
+    cpu_string s.Engine.cpu_time;
   ]
 
 let header = [ "minimize"; "constraint"; "muTmax"; "sigmaTmax"; "sum S_i"; "CPU" ]
@@ -60,7 +60,7 @@ let pp_solution ppf (s : Engine.solution) =
     | rungs ->
         Printf.sprintf " [recovery: %s]"
           (String.concat " -> " (List.map (fun a -> Engine.rung_name a.Engine.rung) rungs)))
-    (cpu_string s.Engine.wall_time)
+    (cpu_string s.Engine.cpu_time)
 
 (* Machine-readable failure diagnosis for the CLI: what stopped the solve,
    which ladder rungs ran, and the typed breakdown when a guard fired. *)

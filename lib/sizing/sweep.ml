@@ -57,7 +57,7 @@ let print curve =
           Util.Table.fmt_float solution.Engine.mu;
           Util.Table.fmt_float ~decimals:3 solution.Engine.sigma;
           Util.Table.fmt_float ~decimals:1 solution.Engine.area;
-          Report.cpu_string solution.Engine.wall_time;
+          Report.cpu_string solution.Engine.cpu_time;
         ])
     curve.points;
   Util.Table.print t;

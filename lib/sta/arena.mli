@@ -172,11 +172,6 @@ val delay_means_into : t -> float array -> unit
 (** [delay_means_into t out] scatters the per-gate delay means left by
     {!forward} into [out] in old gate-id order. *)
 
-val fold_pos : t -> unit
-(** Re-runs only the primary-output fold over the current [arr]
-    plane (the tail step of {!forward}), for engines ({!Incr}) that
-    update arrivals selectively. *)
-
 val circuit_mu : t -> float
 (** Circuit-level max arrival mean, after {!forward}. *)
 
@@ -188,15 +183,3 @@ val circuit_sens_into : t -> float array -> unit
     left by a canonical {!forward} into [out].  Raises
     [Invalid_argument] if [out] is shorter than [p]; no-op when
     [p = 0]. *)
-
-val phase2_gate : t -> int -> unit
-(** One gate's serial scatter step of the reverse sweep (gradient
-    contributions of [mu_t] plus the fanin adjoint scatter), exposed for
-    {!Incr}, whose phase 1 differs (partials caching) but whose phase 2
-    must replay exactly these accumulations.  Takes a {e new-id};
-    requires [dmu_t], the [fadj] segment and [active] for the gate to
-    be set. *)
-
-val level_grain : int
-(** Minimum level width (per the [2 * grain] rule) before a level is
-    handed to the pool — same threshold as the boxed sweeps. *)

@@ -1,154 +1,56 @@
-(** Incremental statistical timing: dirty-cone re-evaluation.
+(** Memoized statistical timing over one owned arena.
 
     A served circuit answers a stream of analyze, whatif and gradient
-    requests whose size vectors differ from one another in a handful of
-    gates (a whatif edits 1-8 gates of the committed sizing).  A full
-    forward/reverse sweep per request recomputes every gate regardless.
-    This engine is a persistent alternative: it caches the last analysis
-    (per-gate arrival moments, gate delays, loads) and, given the next
-    size vector, re-propagates {e only} the transitive fan-out cone of
-    the changed gates.  Sizing solves do not use it: their iterates move
-    most gates at once, so they sweep a scratch {!Arena} instead.
+    requests.  This engine keeps one {!Arena} warm for them and
+    remembers the sizes of its last completed forward sweep: an
+    {!analyze} at bitwise-identical sizes is answered from the arena's
+    planes, any other sizes run one full forward sweep
+    ({!Ssta.forward_raw}), and a gradient adds one adjoint sweep
+    ({!Ssta.reverse_raw}).  These are the arena sweeps {!Ssta.analyze} /
+    {!Ssta.value_and_gradient} run, so results are bit-identical to
+    them by construction, at any pool width.
 
-    {2 Dirty-cone rule}
-
-    A gate must be re-evaluated when any input of its delay/arrival
-    computation changed:
-
-    - its own size changed, or
-    - its load changed — i.e. the size of one of its {e fanout}
-      consumers changed, so the drivers of every changed gate are seeded
-      dirty alongside it, or
-    - the arrival of one of its fanin gates changed.
-
-    Dirtiness propagates level by level ({!Circuit.Netlist.level_buckets})
-    with {e early cutoff}: if a re-evaluated gate's arrival is unchanged
-    (bit-identical in {!Exact} mode, within tolerance in {!Epsilon}
-    mode), its consumers are not marked.  Clean gates keep their cached
-    values, which are bit-identical to what a from-scratch sweep would
-    produce because every in-place Clark kernel ({!Statdelay.Clark})
-    is replayed with bit-identical operands on the same arena planes.
-
-    {2 Gradient}
-
-    The reverse sweep re-runs its cheap scatter phase in full (in the
-    exact order of {!Ssta.value_and_gradient}, which is what keeps
-    gradients bit-identical), but the expensive phase — the
-    {!Statdelay.Clark.partials_into} replays per gate — is reused
-    from the previous gradient evaluation whenever the gate's operands,
-    delay and adjoint are unchanged since.  Reuse histories are kept per
-    seed root (each distinct seed gets its own slot).
-
-    {2 Modes}
-
-    {!Exact} (the default) guarantees results — values {e and}
-    gradients — bit-identical to {!Ssta.analyze} /
-    {!Ssta.value_and_gradient} at every step; the differential harness
-    [test/test_incr.ml] asserts this over randomized delta sequences at
-    1/2/4 domains.  {!Epsilon}[ e] additionally cuts propagation when a
-    recomputed arrival moved by less than [e] (relative, on mu and
-    sigma); the cached arrival then {e lags} the recomputed one by up to
-    [e] per gate, trading exactness for a smaller cone.
-
-    {2 Parallelism and instrumentation}
-
-    [?pool] parallelises the per-level dirty recomputation and the
-    reverse phase-1 replays exactly as in {!Ssta} (disjoint per-gate
-    writes, serial scatters), so pooled results are bit-identical to
-    serial ones.  Instrumented via {!Util.Instr}: counters
-    [incr.analyze], [incr.cache_hit], [incr.full_sweep],
-    [incr.gates_reevaluated], [incr.cutoff], [incr.gradient],
-    [incr.phase1_reused], [incr.phase1_recomputed],
-    [incr.partials_reused]. *)
-
-type mode =
-  | Exact
-      (** cut propagation only on bit-identical arrivals; results are
-          bit-identical to from-scratch sweeps *)
-  | Epsilon of float
-      (** cut propagation when mu and sigma moved less than this
-          relative tolerance; approximate, bounded per-gate lag *)
+    The cache is invalidated {e before} a sweep starts and validated only
+    once it has finished, so a sweep that raises leaves no stale hit
+    behind.  Sweeps are counted by the [ssta.*] {!Util.Instr} counters
+    and timers. *)
 
 type t
 (** A persistent engine bound to one netlist, sigma model and optional
-    pool.  Not thread-safe: one engine per solver. *)
+    pool.  Not thread-safe: one engine per caller. *)
 
-val create :
-  ?pool:Util.Pool.t ->
-  ?mode:mode ->
-  ?varmodel:Circuit.Varmodel.t ->
-  model:Circuit.Sigma_model.t ->
-  Circuit.Netlist.t ->
-  t
-(** A fresh engine with an empty cache; the first {!analyze} is a full
-    sweep.  [mode] defaults to {!Exact}.  Primary-input arrivals are the
-    default deterministic zero ({!Ssta.Kernel.default_pi_arrival}).
-
-    With a shared-source [varmodel] the engine degenerates to cached
-    full sweeps: a shared parameter couples every arrival through its
-    sensitivity row, so no size change is local and the dirty-cone and
-    gradient-reuse machinery (whose exactness proofs cover only the
-    independent kernels) is bypassed.  Each state-changing {!analyze}
-    runs a full canonical {!Arena.forward}, each gradient a full
-    {!Arena.reverse}; bitwise-identical size vectors still hit the
-    cache.  Results match {!Ssta.analyze} with the same [varmodel]
-    bit for bit. *)
-
-val mode : t -> mode
+val create : ?pool:Util.Pool.t -> model:Circuit.Sigma_model.t -> Circuit.Netlist.t -> t
+(** A fresh engine with an empty cache; the first {!analyze} sweeps.
+    Primary-input arrivals are the default deterministic zero. *)
 
 val analyze : t -> sizes:float array -> Ssta.result
-(** Forward timing at [sizes], re-evaluating only the dirty cone of the
-    delta against the engine's cached state.  The returned result is a
-    fresh snapshot (safe to hold across later calls).  In {!Exact} mode
-    it is bit-identical to [Ssta.analyze ~model net ~sizes]. *)
+(** Forward timing at [sizes]: a cache hit when [sizes] is bitwise equal
+    to the last completed sweep's, a full forward sweep otherwise.  The
+    returned result is a fresh snapshot (safe to hold across later
+    calls), bit-identical to [Ssta.analyze ~model net ~sizes]. *)
 
 val value_and_gradient :
   t ->
   sizes:float array ->
   seed:(Ssta.result -> Ssta.seed) ->
   Ssta.result * float array
-(** Incremental counterpart of {!Ssta.value_and_gradient}; in {!Exact}
-    mode both components are bit-identical to it. *)
-
-val gradient :
-  t -> sizes:float array -> seed:(Ssta.result -> Ssta.seed) -> float array
-(** [snd] of {!value_and_gradient}. *)
+(** {!analyze} plus one adjoint sweep; both components are bit-identical
+    to {!Ssta.value_and_gradient}. *)
 
 val arena : t -> Arena.t
-(** The flat {!Arena} holding the engine's cached state, owned
-    exclusively by the engine (its partials plane doubles as the
-    point-keyed Clark cache).  Read-only for callers: after {!analyze}
-    the [load], [del], [arr] planes and {!Arena.circuit_mu} /
-    {!Arena.circuit_var} reflect the analysis at the last [sizes].  Do
-    not run {!Arena.reverse} (or any other writer) on it — that would
-    corrupt the partials cache. *)
+(** The arena holding the engine's cached state, owned by the engine.
+    Read-only for callers: after {!analyze} its forward planes and
+    {!Arena.circuit_mu} / {!Arena.circuit_var} reflect the last
+    [sizes]. *)
 
 val invalidate : t -> unit
-(** Wholesale invalidation: the next {!analyze} runs a full sweep
-    (counted in [incr.full_sweep]), for callers that no longer trust
-    the cached state.  Gradient reuse histories survive (they are
-    guarded by change stamps, not by this flag). *)
+(** Forget the cached state: the next {!analyze} sweeps. *)
 
 type counters = {
   analyzes : int;  (** {!analyze} calls, including via the gradient *)
-  cache_hits : int;  (** calls with no size delta *)
-  full_sweeps : int;  (** cold or invalidated calls *)
-  gates_reevaluated : int;  (** dirty gates recomputed, full sweeps included *)
-  cutoffs : int;  (** recomputed gates whose arrival was unchanged *)
-  gradients : int;  (** gradient calls *)
-  phase1_reused : int;  (** reverse-sweep partial replays skipped *)
-  phase1_recomputed : int;  (** reverse-sweep partial replays executed *)
-  partials_reused : int;
-      (** recomputed replays that served their Clark partials from the
-          point-keyed cache (shared across seeds at one point) instead of
-          re-running the Clark operators *)
+  cache_hits : int;  (** calls answered without a sweep *)
+  gates_reevaluated : int;  (** gates swept: [n_gates] per forward sweep *)
 }
 
 val counters : t -> counters
-(** This engine's lifetime totals (the [incr.*] {!Util.Instr} counters
-    aggregate the same quantities across engines). *)
-
-val dirty_fraction : t -> float
-(** [gates_reevaluated / (analyzes * n_gates)] — the mean fraction of
-    the circuit re-evaluated per analyze; [1.0] means caching never
-    engaged, full sweeps on every call. *)
+(** This engine's lifetime totals. *)

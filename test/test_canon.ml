@@ -6,7 +6,7 @@
    - the residual-only bit-identity contract: a canonical arena whose
      varmodel has shared parameters but ZERO source weights must
      reproduce the independent engines Int64-bit-identically — values
-     and gradients, at 1/2/4 domains, through Ssta and Incr alike;
+     and gradients, at 1/2/4 domains;
    - canonical circuit moments against the dense Cssta oracle on small
      circuits under a nontrivial grid model;
    - the canonical adjoint sweep against central finite differences;
@@ -315,27 +315,6 @@ let test_residual_only_identity () =
         pools)
     (nets_under_test ())
 
-let test_residual_only_incr () =
-  let net = Generate.apex2_like () in
-  let n = Netlist.n_gates net in
-  let eng = Sta.Incr.create ~varmodel:residual_only ~model net in
-  let plain = Sta.Incr.create ~model net in
-  let rng = Util.Rng.create 41 in
-  let maxs = Netlist.max_sizes net in
-  let sizes = Array.copy (Netlist.min_sizes net) in
-  let seedf = Sta.Ssta.mu_plus_k_sigma_seed 3. in
-  for step = 1 to 8 do
-    for _ = 1 to 1 + Util.Rng.int rng 10 do
-      let i = Util.Rng.int rng n in
-      sizes.(i) <- Util.Rng.uniform rng ~lo:1.0 ~hi:maxs.(i)
-    done;
-    let msg = Printf.sprintf "incr step %d" step in
-    let res_c, grad_c = Sta.Incr.value_and_gradient eng ~sizes ~seed:seedf in
-    let res_i, grad_i = Sta.Incr.value_and_gradient plain ~sizes ~seed:seedf in
-    check_results_identical msg res_i res_c;
-    check_floats_equal (msg ^ ": grad") grad_i grad_c
-  done
-
 (* ---- canonical vs dense Cssta oracle ----------------------------------------- *)
 
 let strong_vm = Varmodel.make ~grid:2 ~global_frac:0.4 ~grid_frac:0.4 ()
@@ -481,7 +460,6 @@ let () =
         [
           Alcotest.test_case "residual-only Ssta x 1/2/4 domains" `Quick
             test_residual_only_identity;
-          Alcotest.test_case "residual-only Incr" `Quick test_residual_only_incr;
         ] );
       ( "accuracy",
         [

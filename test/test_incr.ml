@@ -1,12 +1,11 @@
-(* Differential tests for the incremental SSTA engine (Sta.Incr).
+(* Differential tests for the memoized timing engine (Sta.Incr).
 
    The headline harness drives randomized sparse size-delta sequences
-   over generated and .bench netlists and asserts that, in exact mode,
-   the incremental engine is bit-identical to a from-scratch Ssta
-   analysis at every step — values and gradients — at 1, 2 and 4
-   domains.  Further groups cover cache-hit/cutoff accounting, epsilon
-   mode, wholesale invalidation, and that sizing solves leave Sta.Incr
-   alone (they sweep a private scratch arena). *)
+   over generated and .bench netlists and asserts that the engine is
+   bit-identical to a from-scratch Ssta analysis at every step — values
+   and gradients — at 1, 2 and 4 domains.  Further groups cover cache
+   hits, wholesale invalidation, and that a sweep that raises leaves no
+   stale cache hit behind. *)
 
 open Circuit
 
@@ -87,9 +86,6 @@ let nets_under_test () =
 
 (* ---- the differential harness ----------------------------------------------- *)
 
-let basis_mu _ = { Sta.Ssta.d_mu = 1.; d_var = 0. }
-let basis_var _ = { Sta.Ssta.d_mu = 0.; d_var = 1. }
-
 (* The randomized driver is the shared simulation harness (lib/sim): a
    keyed-seed op sequence of sparse batch resizes, forward-only
    analyzes and gradient queries (rotating over the mu / var / mu+3sigma
@@ -131,48 +127,12 @@ let test_differential_all_circuits () =
         (fun (jobs, pool) ->
           let name = Printf.sprintf "%s jobs=%d" name jobs in
           let c = run_differential ~jobs ?pool ~steps:25 ~seed:(17 * jobs) name net in
-          Alcotest.(check int) (name ^ ": one full sweep") 1 c.Sta.Incr.full_sweeps;
           Alcotest.(check bool)
             (name ^ ": cache hits happened")
             true
             (c.Sta.Incr.cache_hits > 0))
         pools)
     (nets_under_test ())
-
-(* The re-sent-sizes steps must hit the cache without drifting, and the
-   sparse deltas must keep the mean re-evaluated fraction below a full
-   sweep per analyze. *)
-let test_dirty_fraction_below_one () =
-  let net = wide_dag ~n_gates:400 11 in
-  let c = run_differential ~steps:40 ~seed:3 "dag400" net in
-  let eng_fraction =
-    float_of_int c.Sta.Incr.gates_reevaluated
-    /. (float_of_int c.Sta.Incr.analyzes *. float_of_int (Netlist.n_gates net))
-  in
-  Alcotest.(check bool) "fraction < 1" true (eng_fraction < 1.)
-
-(* Phase-1 reuse needs bitwise-equal adjoints, which a sparse delta
-   rarely preserves (any moved PO arrival perturbs the PO fold partials
-   globally); the guaranteed case is re-differentiating an unchanged
-   point with the same seed root. *)
-let test_phase1_reuse_on_repeated_point () =
-  let net = Generate.apex2_like () in
-  let eng = Sta.Incr.create ~model net in
-  let sizes = Netlist.min_sizes net in
-  let _, g1 = Sta.Incr.value_and_gradient eng ~sizes ~seed:basis_mu in
-  let c1 = Sta.Incr.counters eng in
-  Alcotest.(check int) "first call recomputes" 0 c1.Sta.Incr.phase1_reused;
-  let _, g2 = Sta.Incr.value_and_gradient eng ~sizes ~seed:basis_mu in
-  let c2 = Sta.Incr.counters eng in
-  check_floats_identical "repeat grad" g1 g2;
-  Alcotest.(check int) "second call reuses everything"
-    c1.Sta.Incr.phase1_recomputed c2.Sta.Incr.phase1_reused;
-  Alcotest.(check int) "nothing recomputed on repeat" c1.Sta.Incr.phase1_recomputed
-    c2.Sta.Incr.phase1_recomputed;
-  (* A different seed root gets its own slot: no cross-talk, still exact. *)
-  let g_var = Sta.Incr.gradient eng ~sizes ~seed:basis_var in
-  let g_var_ref = Sta.Ssta.gradient ~model net ~sizes ~seed:basis_var in
-  check_floats_identical "other-root grad" g_var_ref g_var
 
 let prop_random_dag_differential =
   QCheck.Test.make ~name:"incremental bit-identical on random netlists" ~count:8
@@ -193,33 +153,9 @@ let test_cache_hit_on_identical_sizes () =
   ignore (Sta.Incr.analyze eng ~sizes:(Array.copy sizes));
   let c = Sta.Incr.counters eng in
   Alcotest.(check int) "analyzes" 3 c.Sta.Incr.analyzes;
-  Alcotest.(check int) "full sweeps" 1 c.Sta.Incr.full_sweeps;
   Alcotest.(check int) "cache hits" 2 c.Sta.Incr.cache_hits;
   Alcotest.(check int) "reevaluated = n" (Netlist.n_gates net)
     c.Sta.Incr.gates_reevaluated
-
-let test_single_gate_delta_touches_cone_only () =
-  (* On a chain, changing the size of gate k re-evaluates its driver
-     (load change), itself, and — the chain being a single path with no
-     cutoff slack — its fan-out suffix; never the prefix before the
-     driver. *)
-  let net = Generate.chain ~length:60 () in
-  let n = Netlist.n_gates net in
-  let eng = Sta.Incr.create ~model net in
-  let sizes = Array.copy (Netlist.min_sizes net) in
-  ignore (Sta.Incr.analyze eng ~sizes);
-  let k = 40 in
-  sizes.(k) <- 2.5;
-  let reference = Sta.Ssta.analyze ~model net ~sizes in
-  let incremental = Sta.Incr.analyze eng ~sizes in
-  check_results_identical "chain delta" reference incremental;
-  let c = Sta.Incr.counters eng in
-  let cone = n - k + 1 (* driver k-1, gate k, suffix k+1 .. n-1 *) in
-  Alcotest.(check bool)
-    (Printf.sprintf "reevaluated %d <= cone %d"
-       (c.Sta.Incr.gates_reevaluated - n) cone)
-    true
-    (c.Sta.Incr.gates_reevaluated - n <= cone)
 
 let test_invalidate_forces_full_sweep () =
   let net = Generate.apex2_like () in
@@ -231,93 +167,27 @@ let test_invalidate_forces_full_sweep () =
   let incremental = Sta.Incr.analyze eng ~sizes in
   check_results_identical "post-invalidate" reference incremental;
   let c = Sta.Incr.counters eng in
-  Alcotest.(check int) "full sweeps" 2 c.Sta.Incr.full_sweeps;
+  Alcotest.(check int) "two sweeps" (2 * Netlist.n_gates net) c.Sta.Incr.gates_reevaluated;
   Alcotest.(check int) "cache hits" 0 c.Sta.Incr.cache_hits
 
-(* ---- epsilon mode ----------------------------------------------------------- *)
-
-(* Sparse size deltas for the epsilon test, drawn from the shared op
-   generator (batch-resize class only — the epsilon engine is driven
-   directly here, outside the exact-mode harness). *)
-let sparse_delta ~net ~seed ~step sizes =
-  let config =
-    {
-      Sim.Gen.default with
-      Sim.Gen.weights = { Sim.Gen.zero_weights with Sim.Gen.batch_resize = 1 };
-    }
-  in
-  match Sim.Gen.op ~net ~seed ~key:step config with
-  | Sim.Op.Batch_resize pairs -> Array.iter (fun (g, s) -> sizes.(g) <- s) pairs
-  | _ -> ()
-
-let test_epsilon_mode_bounded_drift () =
-  let net = wide_dag ~n_gates:300 19 in
-  let eps = 1e-9 in
-  let eng = Sta.Incr.create ~mode:(Sta.Incr.Epsilon eps) ~model net in
-  let sizes = Array.copy (Netlist.min_sizes net) in
-  (* Relative drift is bounded by roughly eps per gate per step along a
-     path, so depth * steps * eps with slack is a safe envelope. *)
-  let tol = eps *. float_of_int (Netlist.depth net * 30) *. 1e3 in
-  for step = 1 to 30 do
-    sparse_delta ~net ~seed:5 ~step sizes;
-    let reference = Sta.Ssta.analyze ~model net ~sizes in
-    let approx = Sta.Incr.analyze eng ~sizes in
-    let rel a b = abs_float (a -. b) /. (1. +. abs_float b) in
-    let dmu =
-      rel
-        (Statdelay.Normal.mu approx.Sta.Ssta.circuit)
-        (Statdelay.Normal.mu reference.Sta.Ssta.circuit)
-    and dsig =
-      rel
-        (Statdelay.Normal.sigma approx.Sta.Ssta.circuit)
-        (Statdelay.Normal.sigma reference.Sta.Ssta.circuit)
-    in
-    if dmu > tol || dsig > tol then
-      Alcotest.failf "epsilon drift step %d: dmu=%g dsig=%g > %g" step dmu dsig tol
-  done
-
-(* ---- solver integration ------------------------------------------------------ *)
-
-(* Sizing solves sweep a private scratch arena: no Incr work at all, and
-   one forward plus one two-lane reverse sweep per timing-cache miss. *)
-let test_engine_sweeps_scratch_arena () =
-  Util.Instr.reset ();
-  Util.Instr.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Util.Instr.disable ();
-      Util.Instr.reset ())
-    (fun () ->
-      let net = Generate.tree () in
-      let unsized, _ = Sizing.Engine.evaluate ~model net ~sizes:(Netlist.min_sizes net) in
-      let bound = 0.9 *. Statdelay.Normal.mu unsized.Sta.Ssta.circuit in
-      let _ =
-        Sizing.Engine.solve ~model net (Sizing.Objective.Min_area_bounded { k = 0.; bound })
-      in
-      let _ = Sizing.Engine.solve ~model net (Sizing.Objective.Min_delay 3.) in
-      let snap = Util.Instr.snapshot () in
-      let count name =
-        match List.assoc_opt name snap.Util.Instr.counters with Some n -> n | None -> 0
-      in
-      Alcotest.(check int) "no incr.analyze" 0 (count "incr.analyze");
-      Alcotest.(check int) "no incr.gradient" 0 (count "incr.gradient");
-      Alcotest.(check bool) "cache misses counted" true (count "engine.cache_miss" > 0);
-      Alcotest.(check int) "one reverse call per miss" (count "engine.cache_miss")
-        (count "ssta.gradient"))
-
-let test_arena_netlist_mismatch () =
-  let arena = Sta.Arena.create (Generate.tree ()) in
-  Alcotest.check_raises "mismatch"
-    (Invalid_argument "Engine: arena was created for a different netlist")
-    (fun () ->
-      ignore
-        (Sizing.Engine.build_problem ~arena ~model (Generate.chain ~length:5 ())
-           (Sizing.Objective.Min_delay 0.)))
-
-let test_epsilon_rejects_negative () =
-  Alcotest.check_raises "negative eps"
-    (Invalid_argument "Incr.create: epsilon must be >= 0") (fun () ->
-      ignore (Sta.Incr.create ~mode:(Sta.Incr.Epsilon (-1.)) ~model (Generate.tree ())))
+(* A forward sweep that raises part-way has already overwritten the
+   planes of every level before the failing gate.  The next analyze at
+   the last good sizes must sweep again, not serve those planes. *)
+let test_raising_sweep_leaves_no_stale_hit () =
+  let net = Generate.apex2_like () in
+  let n = Netlist.n_gates net in
+  let eng = Sta.Incr.create ~model net in
+  let good = Netlist.min_sizes net in
+  ignore (Sta.Incr.analyze eng ~sizes:good);
+  (* Every gate moves; the last gate in sweep order sits just below 1,
+     which Netlist.check_sizes tolerates but the cell delay rejects. *)
+  let bad = Array.make n 1.5 in
+  bad.((Netlist.flat net).Netlist.inv_perm.(n - 1)) <- 1. -. 1e-10;
+  Alcotest.check_raises "sweep raises" (Invalid_argument "Cell.delay: size below 1")
+    (fun () -> ignore (Sta.Incr.analyze eng ~sizes:bad));
+  check_results_identical "after raise" (Sta.Ssta.analyze ~model net ~sizes:good)
+    (Sta.Incr.analyze eng ~sizes:good);
+  Alcotest.(check int) "no cache hit" 0 (Sta.Incr.counters eng).Sta.Incr.cache_hits
 
 let () =
   let open Alcotest in
@@ -326,25 +196,13 @@ let () =
       ( "differential",
         [
           test_case "all circuits x 1/2/4 domains" `Quick test_differential_all_circuits;
-          test_case "dirty fraction < 1" `Quick test_dirty_fraction_below_one;
-          test_case "phase-1 reuse on repeated point" `Quick
-            test_phase1_reuse_on_repeated_point;
           Seed_info.to_alcotest prop_random_dag_differential;
         ] );
       ( "cache",
         [
           test_case "hit on identical sizes" `Quick test_cache_hit_on_identical_sizes;
-          test_case "single-gate delta cone" `Quick test_single_gate_delta_touches_cone_only;
           test_case "invalidate" `Quick test_invalidate_forces_full_sweep;
-        ] );
-      ( "epsilon",
-        [
-          test_case "bounded drift" `Quick test_epsilon_mode_bounded_drift;
-          test_case "invalid eps" `Quick test_epsilon_rejects_negative;
-        ] );
-      ( "engine",
-        [
-          test_case "solves run no incr sweeps" `Quick test_engine_sweeps_scratch_arena;
-          test_case "netlist mismatch rejected" `Quick test_arena_netlist_mismatch;
+          test_case "raising sweep leaves no stale hit" `Quick
+            test_raising_sweep_leaves_no_stale_hit;
         ] );
     ]

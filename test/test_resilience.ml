@@ -440,6 +440,35 @@ let test_cli_unconverged_size_profile () =
 
 let test_cli_infeasible_gp_profile () = check_exit_2_keeps_profile "gp -c tree --bound 0.1"
 
+(* A bad uniform [--sizes] value is a usage error: one line on stderr,
+   nothing on stdout, exit 1 — never a report at clamped sizes or an
+   uncaught exception. *)
+let check_bad_sizes_rejected value =
+  match Lazy.force statsize with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+      let out = Filename.temp_file "statsize_out" ".txt" in
+      let err = Filename.temp_file "statsize_err" ".txt" in
+      Fun.protect
+        ~finally:(fun () -> List.iter Sys.remove [ out; err ])
+        (fun () ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s analyze -c tree --sizes %s > %s 2> %s" exe value
+                 (Filename.quote out) (Filename.quote err))
+          in
+          Alcotest.(check int) "exit code" 1 code;
+          Alcotest.(check string) "no report" ""
+            (In_channel.with_open_text out In_channel.input_all);
+          let lines =
+            String.split_on_char '\n'
+              (String.trim (In_channel.with_open_text err In_channel.input_all))
+          in
+          Alcotest.(check int) "one-line error" 1 (List.length lines))
+
+let test_cli_nan_sizes_rejected () = check_bad_sizes_rejected "nan"
+let test_cli_sizes_below_one_rejected () = check_bad_sizes_rejected "0.5"
+
 let () =
   Alcotest.run "resilience"
     [
@@ -484,5 +513,8 @@ let () =
             test_cli_unconverged_size_profile;
           Alcotest.test_case "infeasible gp keeps its profile" `Quick
             test_cli_infeasible_gp_profile;
+          Alcotest.test_case "nan --sizes rejected" `Quick test_cli_nan_sizes_rejected;
+          Alcotest.test_case "--sizes below 1 rejected" `Quick
+            test_cli_sizes_below_one_rejected;
         ] );
     ]

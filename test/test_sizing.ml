@@ -576,6 +576,38 @@ let test_report_speed_factors_order () =
     [ "A"; "B"; "C"; "D"; "E"; "F"; "G" ]
     (List.map fst sf)
 
+(* Sizing solves sweep a private scratch arena: one forward plus one
+   two-lane reverse sweep per timing-cache miss. *)
+let test_engine_sweeps_scratch_arena () =
+  Util.Instr.reset ();
+  Util.Instr.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Util.Instr.disable ();
+      Util.Instr.reset ())
+    (fun () ->
+      let net = Generate.tree () in
+      let unsized, _ = Engine.evaluate ~model net ~sizes:(Netlist.min_sizes net) in
+      let bound = 0.9 *. Statdelay.Normal.mu unsized.Sta.Ssta.circuit in
+      let _ = Engine.solve ~model net (Objective.Min_area_bounded { k = 0.; bound }) in
+      let _ = Engine.solve ~model net (Objective.Min_delay 3.) in
+      let snap = Util.Instr.snapshot () in
+      let count name =
+        match List.assoc_opt name snap.Util.Instr.counters with Some n -> n | None -> 0
+      in
+      Alcotest.(check bool) "cache misses counted" true (count "engine.cache_miss" > 0);
+      Alcotest.(check int) "one reverse call per miss" (count "engine.cache_miss")
+        (count "ssta.gradient"))
+
+let test_arena_netlist_mismatch () =
+  let arena = Sta.Arena.create (Generate.tree ()) in
+  Alcotest.check_raises "mismatch"
+    (Invalid_argument "Engine: arena was created for a different netlist")
+    (fun () ->
+      ignore
+        (Engine.build_problem ~arena ~model (Generate.chain ~length:5 ())
+           (Objective.Min_delay 0.)))
+
 let () =
   Alcotest.run "sizing"
     [
@@ -607,6 +639,9 @@ let () =
             test_warm_start_no_gp_analogue_falls_back_cleanly;
           Alcotest.test_case "matches brute force (fig2)" `Slow
             test_engine_matches_brute_force_fig2;
+          Alcotest.test_case "solves run no incr sweeps" `Quick
+            test_engine_sweeps_scratch_arena;
+          Alcotest.test_case "netlist mismatch rejected" `Quick test_arena_netlist_mismatch;
         ] );
       ( "formulate",
         [

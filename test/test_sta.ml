@@ -394,8 +394,7 @@ let test_crit_invalid_n () =
    region: the gate itself and its gate fanin drivers (whose load includes
    the resized input capacitance) get new delays, and arrivals can change
    only in the transitive fanout of that affected set.  Everything outside
-   keeps its timing bit-for-bit — the structural fact the incremental
-   engine's dirty-cone rule (Sta.Incr) relies on. *)
+   keeps its timing bit-for-bit. *)
 
 let bits = Int64.bits_of_float
 let same_bits a b = bits a = bits b
