@@ -66,10 +66,12 @@ let sized_cell ~library op arity =
 (* Instantiate one .bench operator, decomposing operators wider than any
    library cell into balanced trees: a wide AND/OR becomes a tree of
    2-input cells, a wide NAND/NOR becomes the matching 2-input inverting
-   cell fed by AND/OR trees, XOR folds associatively. *)
-let rec instantiate ~b ~library ~wire_load ~line op fanin =
+   cell fed by AND/OR trees, XOR folds associatively.  The gate that
+   drives the result carries [name]; decomposition-internal gates keep
+   the builder's [g<id>]. *)
+let rec instantiate ~b ~library ~wire_load ~line ?name op fanin =
   let arity = List.length fanin in
-  let direct name = Netlist.Builder.add_gate b ~wire_load ~cell:name fanin in
+  let add cell fanin = Netlist.Builder.add_gate b ?name ~wire_load ~cell fanin in
   let split_reduce reduce_op =
     let k = arity / 2 in
     let left = List.filteri (fun i _ -> i < k) fanin in
@@ -80,51 +82,63 @@ let rec instantiate ~b ~library ~wire_load ~line op fanin =
   match (op, arity) with
   | _, 0 -> fail line "%s with no inputs" op
   | ("AND" | "OR"), 1 -> List.hd fanin
-  | "NOT", 1 -> direct (named ~library ~line "inv")
-  | ("BUFF" | "BUF"), 1 -> direct (named ~library ~line "buf")
+  | "NOT", 1 -> add (named ~library ~line "inv") fanin
+  | ("BUFF" | "BUF"), 1 -> add (named ~library ~line "buf") fanin
   | ("AND" | "OR" | "NAND" | "NOR" | "XOR"), n when n >= 2 -> (
       match sized_cell ~library op n with
-      | Some cell -> direct cell
+      | Some cell -> add cell fanin
       | None -> (
           match op with
           | "AND" | "OR" ->
               let l, r = split_reduce op in
-              Netlist.Builder.add_gate b ~wire_load
-                ~cell:(named ~library ~line (String.lowercase_ascii op ^ "2"))
-                [ l; r ]
+              add (named ~library ~line (String.lowercase_ascii op ^ "2")) [ l; r ]
           | "NAND" | "NOR" ->
               let reduce_op = if op = "NAND" then "AND" else "OR" in
               let l, r = split_reduce reduce_op in
-              Netlist.Builder.add_gate b ~wire_load
-                ~cell:(named ~library ~line (String.lowercase_ascii op ^ "2"))
-                [ l; r ]
+              add (named ~library ~line (String.lowercase_ascii op ^ "2")) [ l; r ]
           | "XOR" ->
               let cell = named ~library ~line "xor2" in
-              List.fold_left
-                (fun acc x -> Netlist.Builder.add_gate b ~wire_load ~cell [ acc; x ])
-                (List.hd fanin) (List.tl fanin)
+              let rec chain acc = function
+                | [ x ] -> add cell [ acc; x ]
+                | x :: rest ->
+                    chain (Netlist.Builder.add_gate b ~wire_load ~cell [ acc; x ]) rest
+                | [] -> acc
+              in
+              chain (List.hd fanin) (List.tl fanin)
           | _ -> assert false))
   | _ -> fail line "unsupported operator %s with %d inputs" op arity
 
 let build ?(wire_load = 1.0) ~library text =
   let statements =
     String.split_on_char '\n' text
-    |> List.mapi (fun i raw -> parse_line (i + 1) raw)
+    |> List.mapi (fun i raw ->
+           Option.map (fun s -> (i + 1, s)) (parse_line (i + 1) raw))
     |> List.filter_map Fun.id
   in
   let b = Netlist.Builder.create ~name:"bench" () in
   let net_node : (string, Netlist.node) Hashtbl.t = Hashtbl.create 64 in
-  let outputs = ref [] in
-  (* Pass 1: primary inputs, and DFF outputs as pseudo-inputs. *)
+  (* Every net has exactly one driver: an INPUT, a DFF or an assignment.
+     [driver] records, per driven net, whether that driver is an INPUT. *)
+  let driver : (string, bool) Hashtbl.t = Hashtbl.create 64 in
+  let drive line ~input net =
+    match Hashtbl.find_opt driver net with
+    | Some true when input -> fail line "duplicate INPUT %s" net
+    | Some _ -> fail line "net %s driven twice" net
+    | None -> Hashtbl.add driver net input
+  in
+  (* Pass 1: drivers; primary inputs, and DFF outputs as pseudo-inputs. *)
   List.iter
-    (function
+    (fun (line, s) ->
+      match s with
       | Input name ->
-          if Hashtbl.mem net_node name then failwith ("duplicate INPUT " ^ name);
+          drive line ~input:true name;
           Hashtbl.replace net_node name (Netlist.Builder.add_pi b name)
-      | Assign { target; op = "DFF"; _ } ->
-          Hashtbl.replace net_node target
-            (Netlist.Builder.add_pi b (target ^ "_ff"))
-      | Output _ | Assign _ -> ())
+      | Assign { target; op = "DFF"; args } ->
+          if List.length args <> 1 then fail line "DFF takes one input";
+          drive line ~input:false target;
+          Hashtbl.replace net_node target (Netlist.Builder.add_pi b (target ^ "_ff"))
+      | Assign { target; _ } -> drive line ~input:false target
+      | Output _ -> ())
     statements;
   (* Pass 2: combinational assignments in dependency order (worklist: keep
      instantiating the assignments whose arguments are all defined). *)
@@ -132,64 +146,51 @@ let build ?(wire_load = 1.0) ~library text =
     ref
       (List.filter_map
          (function
-           | Assign ({ op; _ } as a) when op <> "DFF" -> Some a
-           | Input _ | Output _ | Assign _ -> None)
+           | line, Assign ({ op; _ } as a) when op <> "DFF" -> Some (line, a)
+           | _ -> None)
          statements)
   in
   let stuck = ref false in
   while !remaining <> [] && not !stuck do
     let ready, blocked =
       List.partition
-        (fun { args; _ } -> List.for_all (Hashtbl.mem net_node) args)
+        (fun (_, { args; _ }) -> List.for_all (Hashtbl.mem net_node) args)
         !remaining
     in
     if ready = [] then stuck := true
     else begin
       List.iter
-        (fun { target; op; args } ->
-          if Hashtbl.mem net_node target then
-            failwith ("net driven twice: " ^ target);
+        (fun (line, { target; op; args }) ->
           let fanin = List.map (Hashtbl.find net_node) args in
-          let node = instantiate ~b ~library ~wire_load ~line:0 op fanin in
-          Hashtbl.replace net_node target node)
+          Hashtbl.replace net_node target
+            (instantiate ~b ~library ~wire_load ~line ~name:target op fanin))
         ready;
       remaining := blocked
     end
   done;
-  if !stuck then failwith "combinational cycle or undriven net in .bench file";
+  if !stuck then fail 0 "combinational cycle or undriven net in .bench file";
   (* Pass 3: primary outputs, and DFF data inputs as pseudo-outputs. *)
   List.iter
-    (function
-      | Output name -> outputs := (name, name) :: !outputs
-      | Assign { target; op = "DFF"; args = [ d ] } -> outputs := (d, target ^ "_d") :: !outputs
-      | Assign { op = "DFF"; _ } -> failwith "DFF takes one input"
+    (fun (line, s) ->
+      let mark net label =
+        match Hashtbl.find_opt net_node net with
+        | Some n -> Netlist.Builder.mark_po b ~name:label n
+        | None -> fail line "output %s is not driven" net
+      in
+      match s with
+      | Output name -> mark name name
+      | Assign { target; op = "DFF"; args = [ d ] } -> mark d (target ^ "_d")
       | Input _ | Assign _ -> ())
     statements;
-  List.iter
-    (fun (net, label) ->
-      match Hashtbl.find_opt net_node net with
-      | Some n -> Netlist.Builder.mark_po b ~name:label n
-      | None -> failwith ("output " ^ net ^ " is not driven"))
-    (List.rev !outputs);
   Netlist.Builder.build b
 
 let parse_string ?wire_load ~library text =
   match build ?wire_load ~library text with
   | netlist -> Ok netlist
   | exception Error e -> Error e
-  | exception Failure m -> Error { line = 0; message = m }
   | exception Invalid_argument m -> Error { line = 0; message = m }
 
 let parse_file ?wire_load ~library path =
-  match open_in path with
-  | exception Sys_error m -> Result.Error { line = 0; message = m }
-  | ic -> (
-      match
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with
-      | text -> parse_string ?wire_load ~library text
-      | exception Sys_error m -> Result.Error { line = 0; message = m }
-      | exception End_of_file ->
-          Result.Error { line = 0; message = path ^ ": truncated read" })
+  match Cell_file.read_file path with
+  | Ok text -> parse_string ?wire_load ~library text
+  | Error message -> Error { line = 0; message }

@@ -15,27 +15,19 @@
     [DFF]s are cut in the standard way for combinational timing: the
     flip-flop output becomes a pseudo primary input and its data input a
     pseudo primary output, so ISCAS-89 sequential circuits analyse as
-    their combinational core. *)
+    their combinational core.
+
+    The gate driving each assigned net is named after that net; the
+    extra gates a wide operator decomposes into keep the default
+    [g<id>] names.  Every net has one driver: an [INPUT], a [DFF] and an
+    assignment to the same net are rejected as [net <name> driven
+    twice]. *)
 
 type error = { line : int; message : string }
 
 val pp_error : Format.formatter -> error -> unit
 
 exception Error of error
-
-(** {1 Statement-level parsing}
-
-    Exposed for {!Bench_stream}, which re-uses the line grammar but
-    builds CSR columns instead of a {!Netlist.Builder} record graph. *)
-
-type assign = { target : string; op : string; args : string list }
-(** One [target = OP(arg, ...)] line; [op] is upper-cased. *)
-
-type statement = Input of string | Output of string | Assign of assign
-
-val parse_line : int -> string -> statement option
-(** [parse_line line_no raw] parses one raw line ([None] for blank
-    lines and comments).  Raises {!Error} on a syntax error. *)
 
 val parse_string :
   ?wire_load:float ->
@@ -49,4 +41,6 @@ val parse_file :
   string ->
   (Netlist.t, error) result
 (** Never raises: missing, unreadable or truncated files come back as
-    [Error] with [line = 0], like syntax errors do. *)
+    [Error] with [line = 0], like syntax errors do.  Errors raised by a
+    statement carry its line; [line = 0] marks whole-file errors (a
+    combinational cycle or undriven net, an unreadable file). *)

@@ -96,15 +96,15 @@ let parse_statements text =
 
 (* Order gates so that every fanin net is defined before use (Kahn). *)
 let topo_order stmts =
+  let is_pi = Hashtbl.create 16 in
+  List.iter (fun n -> Hashtbl.replace is_pi n ()) stmts.inputs;
   let defined_by = Hashtbl.create 64 in
   List.iteri
     (fun i (g : raw_gate) ->
-      if Hashtbl.mem defined_by g.output_net then
+      if Hashtbl.mem defined_by g.output_net || Hashtbl.mem is_pi g.output_net then
         fail g.line "net %s driven twice" g.output_net;
       Hashtbl.add defined_by g.output_net i)
     stmts.raw_gates;
-  let is_pi = Hashtbl.create 16 in
-  List.iter (fun n -> Hashtbl.replace is_pi n ()) stmts.inputs;
   let gates = Array.of_list stmts.raw_gates in
   let n = Array.length gates in
   let indeg = Array.make n 0 in
@@ -180,15 +180,9 @@ let parse_string ?wire_load ~library text =
   | exception Invalid_argument m -> Error { line = 0; message = m }
 
 let parse_file ?wire_load ~library path =
-  match open_in path with
-  | exception Sys_error m -> Result.Error { line = 0; message = m }
-  | ic ->
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      parse_string ?wire_load ~library text
+  match Cell_file.read_file path with
+  | Ok text -> parse_string ?wire_load ~library text
+  | Error message -> Error { line = 0; message }
 
 let to_string netlist =
   let buf = Buffer.create 1024 in

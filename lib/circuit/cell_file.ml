@@ -77,19 +77,23 @@ let parse_string text =
   | exception Error e -> Error e
   | exception Invalid_argument m -> Error { line = 0; message = m }
 
-let parse_file path =
+let read_file path =
   match open_in path with
-  | exception Sys_error m -> Result.Error { line = 0; message = m }
+  | exception Sys_error m -> Result.Error m
   | ic -> (
       match
         Fun.protect
           ~finally:(fun () -> close_in_noerr ic)
           (fun () -> really_input_string ic (in_channel_length ic))
       with
-      | text -> parse_string text
-      | exception Sys_error m -> Result.Error { line = 0; message = m }
-      | exception End_of_file ->
-          Result.Error { line = 0; message = path ^ ": truncated read" })
+      | text -> Ok text
+      | exception Sys_error m -> Result.Error (path ^ ": " ^ m)
+      | exception End_of_file -> Result.Error (path ^ ": truncated read"))
+
+let parse_file path =
+  match read_file path with
+  | Ok text -> parse_string text
+  | Error message -> Error { line = 0; message }
 
 let to_string library =
   let cells =

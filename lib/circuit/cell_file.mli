@@ -22,6 +22,12 @@ val parse_file : string -> (Cell.Library.t, error) result
 (** Never raises: missing, unreadable or truncated files come back as
     [Error] with [line = 0], like syntax errors do. *)
 
+val read_file : string -> (string, string) result
+(** [read_file path] is the whole file's contents, or the reason it
+    cannot be read (missing, unreadable, a directory, truncated while
+    reading).  Never raises; the [parse_file] readers of this module,
+    [Blif] and [Bench_format] all load their input through it. *)
+
 val to_string : Cell.Library.t -> string
 (** Cells sorted by name; [parse_string] of the result reproduces the
     library. *)

@@ -30,14 +30,10 @@ type flat = {
 type t = {
   name : string;
   pis : string array;
-  n_g : int;
-  gates_l : gate array Lazy.t;
-      (* record view of the gates; lazy so a CSR-loaded netlist
-         ([of_csr]) only materialises the boxed graph when a
-         record-level accessor is actually used *)
+  gates : gate array;
   pos : node array;
   po_names : string array;
-  fanout_l : (int * int) list array Lazy.t;
+  fanout : (int * int) list array;
   mutable bucket_cache : int array array option;
       (* per-level gate-id buckets, computed once per netlist on first
          use (the topology never changes after [Builder.build]) *)
@@ -133,11 +129,10 @@ module Builder = struct
     {
       name = b.bname;
       pis = Array.of_list (List.rev b.rev_pis);
-      n_g = Array.length gates;
-      gates_l = Lazy.from_val gates;
+      gates;
       pos = Array.of_list (List.map fst pos_pairs);
       po_names = Array.of_list (List.map snd pos_pairs);
-      fanout_l = Lazy.from_val fanout;
+      fanout;
       bucket_cache = None;
       flat_cache = None;
     }
@@ -145,34 +140,32 @@ end
 
 let name t = t.name
 let n_pis t = Array.length t.pis
-let n_gates t = t.n_g
+let n_gates t = Array.length t.gates
 let n_pos t = Array.length t.pos
-let gate t i = (Lazy.force t.gates_l).(i)
-let gates t = Lazy.force t.gates_l
+let gate t i = t.gates.(i)
+let gates t = t.gates
 let pi_name t i = t.pis.(i)
 let pos t = t.pos
 let po_name t i = t.po_names.(i)
-let fanout t i = (Lazy.force t.fanout_l).(i)
+let fanout t i = t.fanout.(i)
 
 let load t ~sizes g =
-  let gates = Lazy.force t.gates_l in
-  let gate = gates.(g) in
   List.fold_left
     (fun acc (consumer, mult) ->
-      let c = gates.(consumer) in
+      let c = t.gates.(consumer) in
       acc +. (float_of_int mult *. Cell.input_cap c.cell ~size:sizes.(consumer)))
-    gate.wire_load (Lazy.force t.fanout_l).(g)
+    t.gates.(g).wire_load t.fanout.(g)
 
 let area t ~sizes =
   let acc = ref 0. in
   Array.iter
     (fun g -> acc := !acc +. (g.cell.Cell.area *. sizes.(g.id)))
-    (Lazy.force t.gates_l);
+    t.gates;
   !acc
 
 let min_sizes t = Array.make (n_gates t) 1.
 
-let max_sizes t = Array.map (fun g -> g.cell.Cell.max_size) (Lazy.force t.gates_l)
+let max_sizes t = Array.map (fun g -> g.cell.Cell.max_size) t.gates
 
 let check_sizes t sizes =
   if Array.length sizes <> n_gates t then
@@ -184,7 +177,7 @@ let check_sizes t sizes =
         invalid_arg
           (Printf.sprintf "Netlist.check_sizes: size %g of gate %s outside [1, %g]" s
              g.gate_name g.cell.Cell.max_size))
-    (Lazy.force t.gates_l)
+    t.gates
 
 let levels t =
   let lvl = Array.make (n_gates t) 0 in
@@ -196,14 +189,15 @@ let levels t =
           0 g.fanin
       in
       lvl.(g.id) <- m + 1)
-    (Lazy.force t.gates_l);
+    t.gates;
   lvl
 
 let depth t = if n_gates t = 0 then 0 else Array.fold_left max 0 (levels t)
 
-(* Level buckets from a per-gate level array (ascending-id iteration
-   keeps every bucket sorted by gate id). *)
-let buckets_of_levels lvl =
+(* Level buckets (ascending-id iteration keeps every bucket sorted by
+   gate id). *)
+let compute_buckets t =
+  let lvl = levels t in
   let d = Array.fold_left max 0 lvl in
   let counts = Array.make d 0 in
   Array.iter (fun l -> counts.(l - 1) <- counts.(l - 1) + 1) lvl;
@@ -215,8 +209,6 @@ let buckets_of_levels lvl =
       fill.(l - 1) <- fill.(l - 1) + 1)
     lvl;
   buckets
-
-let compute_buckets t = buckets_of_levels (levels t)
 
 let level_buckets t =
   match t.bucket_cache with
@@ -244,24 +236,9 @@ let level_buckets t =
    and descending-new-id within a level coincides with descending-old-id
    — the boxed reverse sweep's serial scatter order — because the
    permutation is monotone inside each level. *)
-let encode_node = function Gate g -> g | Pi i -> -i - 1
-
-(* Build the permuted flat view from old-id CSR columns.  [fo_mult_i] is
-   the integer pin multiplicity; converted to float in the column.
-   Returns the flat view and the old-id level array (levels are
-   1-based; PIs sit at level 0). *)
-let build_flat ~n ~n_pos ~fi_off:fi_off_o ~fi_node:fi_node_o ~po_node:po_node_o
-    ~fo_off:fo_off_o ~fo_consumer:fo_consumer_o ~fo_mult_i ~fo_cin:fo_cin_o
-    ~g_t_int ~g_drive ~g_wire_load ~g_max_size =
-  let lvl = Array.make n 0 in
-  for g = 0 to n - 1 do
-    let m = ref 0 in
-    for j = fi_off_o.(g) to fi_off_o.(g + 1) - 1 do
-      let e = fi_node_o.(j) in
-      if e >= 0 && lvl.(e) > !m then m := lvl.(e)
-    done;
-    lvl.(g) <- !m + 1
-  done;
+let compute_flat t =
+  let n = n_gates t in
+  let lvl = levels t in
   let d = Array.fold_left max 0 lvl in
   (* lvl_off.(0) = 0 (no gate sits at level 0); after the prefix sum
      lvl_off.(l) is the end of level l's new-id segment, so segment [l]
@@ -281,104 +258,56 @@ let build_flat ~n ~n_pos ~fi_off:fi_off_o ~fi_node:fi_node_o ~po_node:po_node_o
     inv_perm.(i) <- g;
     fill.(l) <- i + 1
   done;
-  let map_node e = if e >= 0 then perm.(e) else e in
-  let fi_off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    let o = inv_perm.(i) in
-    fi_off.(i + 1) <- fi_off.(i) + (fi_off_o.(o + 1) - fi_off_o.(o))
-  done;
+  let encode = function Gate g -> perm.(g) | Pi i -> -i - 1 in
+  (* Row [i] of a new-id CSR column is old gate [inv_perm.(i)]'s row. *)
+  let offsets row_len =
+    let off = Array.make (n + 1) 0 in
+    for i = 0 to n - 1 do
+      off.(i + 1) <- off.(i) + row_len inv_perm.(i)
+    done;
+    off
+  in
+  let fi_off = offsets (fun o -> Array.length t.gates.(o).fanin) in
   let nfi = fi_off.(n) in
   let fi_node = Array.make (max 1 nfi) 0 in
   for i = 0 to n - 1 do
-    let o = inv_perm.(i) in
-    let b = fi_off.(i) and bo = fi_off_o.(o) in
-    for j = 0 to fi_off_o.(o + 1) - bo - 1 do
-      fi_node.(b + j) <- map_node fi_node_o.(bo + j)
-    done
+    Array.iteri
+      (fun j nd -> fi_node.(fi_off.(i) + j) <- encode nd)
+      t.gates.(inv_perm.(i)).fanin
   done;
-  let fo_off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    let o = inv_perm.(i) in
-    fo_off.(i + 1) <- fo_off.(i) + (fo_off_o.(o + 1) - fo_off_o.(o))
-  done;
+  let fo_off = offsets (fun o -> List.length t.fanout.(o)) in
   let nfo = fo_off.(n) in
   let fo_consumer = Array.make (max 1 nfo) 0 in
   let fo_mult = Array.make (max 1 nfo) 0. in
   let fo_cin = Array.make (max 1 nfo) 0. in
   for i = 0 to n - 1 do
-    let o = inv_perm.(i) in
-    let b = fo_off.(i) and bo = fo_off_o.(o) in
-    for j = 0 to fo_off_o.(o + 1) - bo - 1 do
-      fo_consumer.(b + j) <- perm.(fo_consumer_o.(bo + j));
-      fo_mult.(b + j) <- float_of_int fo_mult_i.(bo + j);
-      fo_cin.(b + j) <- fo_cin_o.(bo + j)
-    done
+    List.iteri
+      (fun j (consumer, mult) ->
+        let k = fo_off.(i) + j in
+        fo_consumer.(k) <- perm.(consumer);
+        fo_mult.(k) <- float_of_int mult;
+        fo_cin.(k) <- t.gates.(consumer).cell.Cell.c_in)
+      t.fanout.(inv_perm.(i))
   done;
-  let gather col = Array.init n (fun i -> col.(inv_perm.(i))) in
-  ( {
-      perm;
-      inv_perm;
-      lvl_off;
-      fi_off;
-      fi_node;
-      po_node = Array.map map_node po_node_o;
-      po_base = nfi;
-      fold_slots = nfi + n_pos;
-      fo_off;
-      fo_consumer;
-      fo_mult;
-      fo_cin;
-      g_t_int = gather g_t_int;
-      g_drive = gather g_drive;
-      g_wire_load = gather g_wire_load;
-      g_max_size = gather g_max_size;
-    },
-    lvl )
-
-(* Old-id CSR columns from the record graph, then the shared permuted
-   build.  The fanout columns preserve [fanout]-list order. *)
-let compute_flat t =
-  let n = n_gates t in
-  let gates = Lazy.force t.gates_l in
-  let fanout = Lazy.force t.fanout_l in
-  let fi_off = Array.make (n + 1) 0 in
-  Array.iter
-    (fun g -> fi_off.(g.id + 1) <- fi_off.(g.id) + Array.length g.fanin)
-    gates;
-  let nfi = fi_off.(n) in
-  let fi_node = Array.make (max 1 nfi) 0 in
-  Array.iter
-    (fun g ->
-      let base = fi_off.(g.id) in
-      Array.iteri (fun j nd -> fi_node.(base + j) <- encode_node nd) g.fanin)
-    gates;
-  let po_node = Array.map encode_node t.pos in
-  let fo_off = Array.make (n + 1) 0 in
-  for g = 0 to n - 1 do
-    fo_off.(g + 1) <- fo_off.(g) + List.length fanout.(g)
-  done;
-  let nfo = fo_off.(n) in
-  let fo_consumer = Array.make (max 1 nfo) 0 in
-  let fo_mult_i = Array.make (max 1 nfo) 0 in
-  let fo_cin = Array.make (max 1 nfo) 0. in
-  Array.iteri
-    (fun g l ->
-      let j = ref fo_off.(g) in
-      List.iter
-        (fun (consumer, mult) ->
-          fo_consumer.(!j) <- consumer;
-          fo_mult_i.(!j) <- mult;
-          fo_cin.(!j) <- gates.(consumer).cell.Cell.c_in;
-          incr j)
-        l)
-    fanout;
-  fst
-    (build_flat ~n ~n_pos:(Array.length t.pos) ~fi_off ~fi_node ~po_node ~fo_off
-       ~fo_consumer ~fo_mult_i ~fo_cin
-       ~g_t_int:(Array.map (fun g -> g.cell.Cell.t_int) gates)
-       ~g_drive:(Array.map (fun g -> g.cell.Cell.drive) gates)
-       ~g_wire_load:(Array.map (fun g -> g.wire_load) gates)
-       ~g_max_size:(Array.map (fun g -> g.cell.Cell.max_size) gates))
+  let gather f = Array.init n (fun i -> f t.gates.(inv_perm.(i))) in
+  {
+    perm;
+    inv_perm;
+    lvl_off;
+    fi_off;
+    fi_node;
+    po_node = Array.map encode t.pos;
+    po_base = nfi;
+    fold_slots = nfi + Array.length t.pos;
+    fo_off;
+    fo_consumer;
+    fo_mult;
+    fo_cin;
+    g_t_int = gather (fun g -> g.cell.Cell.t_int);
+    g_drive = gather (fun g -> g.cell.Cell.drive);
+    g_wire_load = gather (fun g -> g.wire_load);
+    g_max_size = gather (fun g -> g.cell.Cell.max_size);
+  }
 
 let flat t =
   match t.flat_cache with
@@ -387,127 +316,6 @@ let flat t =
       let f = compute_flat t in
       t.flat_cache <- Some f;
       f
-
-(* ---- streaming CSR construction ---------------------------------------------
-
-   [of_csr] builds a netlist directly from old-id CSR columns — the
-   entry point for streaming loaders (Bench_stream) that never hold a
-   record graph.  The permuted flat view and the level buckets are
-   computed here, straight from the columns, and pre-seeded into the
-   caches; the record planes ([gates] / [fanout]) are reconstructed
-   lazily from the retained columns only if a record-level accessor is
-   called.  The fanout rows are materialised in descending-consumer-id
-   order with per-gate pin multiplicities — exactly the adjacency lists
-   [Builder.build] produces (consumers are visited in ascending id and
-   prepended), so [flat] and [load] folds accumulate in the same
-   floating-point order as a record-built netlist. *)
-let decode_node e = if e >= 0 then Gate e else Pi (-e - 1)
-
-let of_csr ?(name = "csr") ~pi_names ~cells ~wire_loads ~fi_off ~fi_node ~pos
-    ~po_names () =
-  let n = Array.length cells in
-  let n_pi = Array.length pi_names in
-  if Array.length wire_loads <> n || Array.length fi_off <> n + 1 then
-    invalid_arg "Netlist.of_csr: column length mismatch";
-  if Array.length pos <> Array.length po_names || Array.length pos = 0 then
-    invalid_arg "Netlist.of_csr: no primary output";
-  for g = 0 to n - 1 do
-    if fi_off.(g + 1) - fi_off.(g) <> cells.(g).Cell.n_inputs then
-      invalid_arg
-        (Printf.sprintf "Netlist.of_csr: cell %s expects %d inputs, got %d"
-           cells.(g).Cell.name cells.(g).Cell.n_inputs
-           (fi_off.(g + 1) - fi_off.(g)));
-    if wire_loads.(g) < 0. then invalid_arg "Netlist.of_csr: negative wire load";
-    for j = fi_off.(g) to fi_off.(g + 1) - 1 do
-      let e = fi_node.(j) in
-      if e >= g || -e - 1 >= n_pi then
-        invalid_arg "Netlist.of_csr: fanin node does not exist"
-    done
-  done;
-  Array.iter
-    (function
-      | Gate g when g >= 0 && g < n -> ()
-      | Pi i when i >= 0 && i < n_pi -> ()
-      | _ -> invalid_arg "Netlist.of_csr: primary output node does not exist")
-    pos;
-  (* Fanout columns: one entry per distinct (driver, consumer) pair,
-     rows in descending consumer id.  Within a fanin row, an entry is
-     counted once at its first occurrence (multiplicities folded in). *)
-  let fo_cnt = Array.make (max 1 n) 0 in
-  let row_first g j =
-    let s = fi_node.(j) in
-    let first = ref true in
-    for k = fi_off.(g) to j - 1 do
-      if fi_node.(k) = s then first := false
-    done;
-    !first
-  in
-  for g = 0 to n - 1 do
-    for j = fi_off.(g) to fi_off.(g + 1) - 1 do
-      if fi_node.(j) >= 0 && row_first g j then
-        fo_cnt.(fi_node.(j)) <- fo_cnt.(fi_node.(j)) + 1
-    done
-  done;
-  let fo_off = Array.make (n + 1) 0 in
-  for g = 0 to n - 1 do
-    fo_off.(g + 1) <- fo_off.(g) + fo_cnt.(g)
-  done;
-  let nfo = fo_off.(n) in
-  let fo_consumer = Array.make (max 1 nfo) 0 in
-  let fo_mult_i = Array.make (max 1 nfo) 0 in
-  let fo_cin = Array.make (max 1 nfo) 0. in
-  let fill = Array.sub fo_off 0 (max 1 n) in
-  for g = n - 1 downto 0 do
-    for j = fi_off.(g) to fi_off.(g + 1) - 1 do
-      let s = fi_node.(j) in
-      if s >= 0 && row_first g j then begin
-        let m = ref 0 in
-        for k = fi_off.(g) to fi_off.(g + 1) - 1 do
-          if fi_node.(k) = s then incr m
-        done;
-        fo_consumer.(fill.(s)) <- g;
-        fo_mult_i.(fill.(s)) <- !m;
-        fo_cin.(fill.(s)) <- cells.(g).Cell.c_in;
-        fill.(s) <- fill.(s) + 1
-      end
-    done
-  done;
-  let po_node = Array.map encode_node pos in
-  let fl, lvl =
-    build_flat ~n ~n_pos:(Array.length pos) ~fi_off ~fi_node ~po_node ~fo_off
-      ~fo_consumer ~fo_mult_i ~fo_cin
-      ~g_t_int:(Array.map (fun c -> c.Cell.t_int) cells)
-      ~g_drive:(Array.map (fun c -> c.Cell.drive) cells)
-      ~g_wire_load:wire_loads
-      ~g_max_size:(Array.map (fun c -> c.Cell.max_size) cells)
-  in
-  {
-    name;
-    pis = pi_names;
-    n_g = n;
-    gates_l =
-      lazy
-        (Array.init n (fun g ->
-             let b = fi_off.(g) in
-             {
-               id = g;
-               gate_name = Printf.sprintf "g%d" g;
-               cell = cells.(g);
-               fanin =
-                 Array.init (fi_off.(g + 1) - b) (fun j ->
-                     decode_node fi_node.(b + j));
-               wire_load = wire_loads.(g);
-             }));
-    pos;
-    po_names;
-    fanout_l =
-      lazy
-        (Array.init n (fun s ->
-             List.init (fo_off.(s + 1) - fo_off.(s)) (fun j ->
-                 (fo_consumer.(fo_off.(s) + j), fo_mult_i.(fo_off.(s) + j)))));
-    bucket_cache = Some (buckets_of_levels lvl);
-    flat_cache = Some fl;
-  }
 
 type stats = {
   gates_count : int;
@@ -522,10 +330,10 @@ let stats t =
   let max_fanout =
     Array.fold_left
       (fun acc l -> max acc (List.fold_left (fun a (_, m) -> a + m) 0 l))
-      0 (Lazy.force t.fanout_l)
+      0 t.fanout
   in
   let total_fanin =
-    Array.fold_left (fun acc g -> acc + Array.length g.fanin) 0 (Lazy.force t.gates_l)
+    Array.fold_left (fun acc g -> acc + Array.length g.fanin) 0 t.gates
   in
   {
     gates_count = n_gates t;

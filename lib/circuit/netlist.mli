@@ -157,43 +157,6 @@ type flat = {
 
 val flat : t -> flat
 
-(** {1 Streaming construction}
-
-    Loaders that stream a large design can hand the topology over as
-    old-id CSR columns instead of going through {!Builder}, skipping
-    the boxed record graph entirely: {!of_csr} computes the flat view
-    and the level buckets straight from the columns, and only
-    reconstructs the per-gate records / fanout adjacency lists (from
-    the retained columns, lazily) if a record-level accessor such as
-    {!gate} or {!fanout} is later called.  Peak construction memory is
-    the columns themselves — a few [int]/[float] words per fanin edge —
-    rather than a record and a list cell per gate. *)
-
-val of_csr :
-  ?name:string ->
-  pi_names:string array ->
-  cells:Cell.t array ->
-  wire_loads:float array ->
-  fi_off:int array ->
-  fi_node:int array ->
-  pos:node array ->
-  po_names:string array ->
-  unit ->
-  t
-(** [of_csr ~pi_names ~cells ~wire_loads ~fi_off ~fi_node ~pos ~po_names ()]
-    builds a netlist from old-id CSR columns: gate [g] (ids must be
-    topologically ordered — every gate fanin reference strictly below
-    [g]) uses cell [cells.(g)], drives wire capacitance
-    [wire_loads.(g)], and its encoded fanin nodes (gate [g'] as [g'],
-    [Pi i] as [-i - 1]) sit at [fi_node.(fi_off.(g))
-    .. fi_node.(fi_off.(g+1) - 1)].  Gate names default to ["g<id>"],
-    as with unnamed {!Builder.add_gate}.  The resulting netlist is
-    indistinguishable from the equivalent {!Builder} sequence — same
-    flat view, same fanout lists, same floating-point sweep results
-    bit for bit.  Raises [Invalid_argument] on ragged columns, fanin
-    arity/cell mismatches, out-of-range references or an empty
-    [pos]. *)
-
 type stats = {
   gates_count : int;
   pi_count : int;

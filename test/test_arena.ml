@@ -273,116 +273,6 @@ let test_gradient2_needs_reverse2 () =
     (Invalid_argument "Arena.gradient2_into: no two-lane reverse sweep has run")
     (fun () -> Sta.Arena.gradient2_into arena (Array.make arena.Sta.Arena.n 0.))
 
-(* ---- streaming loader equivalence ------------------------------------------- *)
-
-(* Bench_stream must produce a netlist indistinguishable from
-   Bench_format's record-graph path: same ids, names and CSR columns,
-   and bit-identical sweep results.  Exercised on the bundled circuit
-   plus a synthetic file covering the decomposition paths (wide
-   AND/NAND/XOR, BUFF/NOT, DFF cut, comments, blank lines). *)
-
-let synthetic_bench =
-  {|# synthetic decomposition exercise
-INPUT(a)
-INPUT(b)
-INPUT(c)
-INPUT(d)
-INPUT(e)
-
-s = DFF(w)
-w = NAND(a, b, c, d, e)
-x = AND(a, b, c, d)
-y = XOR(x, s, c)
-z = NOR(y, w, d)
-o = NOT(z)
-p = BUFF(o)
-OUTPUT(p)
-OUTPUT(y)
-|}
-
-let check_netlists_equal msg a b =
-  let fa = Netlist.flat a and fb = Netlist.flat b in
-  Alcotest.(check int) (msg ^ ": n_gates") (Netlist.n_gates a) (Netlist.n_gates b);
-  Alcotest.(check int) (msg ^ ": n_pis") (Netlist.n_pis a) (Netlist.n_pis b);
-  Alcotest.(check int) (msg ^ ": n_pos") (Netlist.n_pos a) (Netlist.n_pos b);
-  for id = 0 to Netlist.n_gates a - 1 do
-    let ga = Netlist.gate a id and gb = Netlist.gate b id in
-    Alcotest.(check string)
-      (Printf.sprintf "%s: gate %d name" msg id)
-      ga.Netlist.gate_name gb.Netlist.gate_name;
-    Alcotest.(check string)
-      (Printf.sprintf "%s: gate %d cell" msg id)
-      ga.Netlist.cell.Cell.name gb.Netlist.cell.Cell.name;
-    Alcotest.(check (array (of_pp Fmt.(of_to_string (function
-        | Netlist.Pi i -> "pi" ^ string_of_int i
-        | Netlist.Gate g -> "g" ^ string_of_int g)))))
-      (Printf.sprintf "%s: gate %d fanin" msg id)
-      ga.Netlist.fanin gb.Netlist.fanin
-  done;
-  Alcotest.(check (array int)) (msg ^ ": perm") fa.Netlist.perm fb.Netlist.perm;
-  Alcotest.(check (array int)) (msg ^ ": lvl_off") fa.Netlist.lvl_off fb.Netlist.lvl_off;
-  Alcotest.(check (array int)) (msg ^ ": fi_off") fa.Netlist.fi_off fb.Netlist.fi_off;
-  Alcotest.(check (array int)) (msg ^ ": fi_node") fa.Netlist.fi_node fb.Netlist.fi_node;
-  Alcotest.(check (array int)) (msg ^ ": fo_off") fa.Netlist.fo_off fb.Netlist.fo_off;
-  Alcotest.(check (array int))
-    (msg ^ ": fo_consumer") fa.Netlist.fo_consumer fb.Netlist.fo_consumer;
-  check_floats_identical (msg ^ ": fo_mult") fa.Netlist.fo_mult fb.Netlist.fo_mult;
-  check_floats_identical (msg ^ ": fo_cin") fa.Netlist.fo_cin fb.Netlist.fo_cin;
-  Alcotest.(check (array int)) (msg ^ ": po_node") fa.Netlist.po_node fb.Netlist.po_node;
-  (* And the sweeps agree bit for bit. *)
-  let sweep net =
-    let arena = Sta.Arena.create net in
-    Sta.Ssta.forward_raw ~model arena ~sizes:(Netlist.min_sizes net);
-    (Sta.Arena.circuit_mu arena, Sta.Arena.circuit_var arena)
-  in
-  let mu_a, var_a = sweep a and mu_b, var_b = sweep b in
-  if not (Int64.equal (bits mu_a) (bits mu_b) && Int64.equal (bits var_a) (bits var_b))
-  then Alcotest.failf "%s: circuit moments differ: (%h,%h) <> (%h,%h)" msg mu_a var_a mu_b var_b
-
-let test_stream_loader_identical () =
-  let library = Cell.Library.default () in
-  (match
-     ( Bench_format.parse_string ~library synthetic_bench,
-       Bench_stream.parse_string ~library synthetic_bench )
-   with
-  | Ok a, Ok b -> check_netlists_equal "synthetic" a b
-  | Error e, _ | _, Error e ->
-      Alcotest.failf "synthetic: %s" (Format.asprintf "%a" Bench_format.pp_error e));
-  let path =
-    match
-      List.find_opt Sys.file_exists
-        [ "../examples/cla4.bench"; "examples/cla4.bench" ]
-    with
-    | Some p -> p
-    | None -> Alcotest.fail "examples/cla4.bench not found (is it a test dep?)"
-  in
-  match
-    ( Bench_format.parse_file ~library path,
-      Bench_stream.parse_file ~library path )
-  with
-  | Ok a, Ok b -> check_netlists_equal "cla4.bench" a b
-  | Error e, _ | _, Error e ->
-      Alcotest.failf "cla4.bench: %s" (Format.asprintf "%a" Bench_format.pp_error e)
-
-let test_stream_loader_errors () =
-  let library = Cell.Library.default () in
-  let expect_error msg text =
-    match Bench_stream.parse_string ~library text with
-    | Ok _ -> Alcotest.failf "%s: expected an error" msg
-    | Error e ->
-        let reference =
-          match Bench_format.parse_string ~library text with
-          | Ok _ -> Alcotest.failf "%s: record loader accepted it" msg
-          | Error r -> r
-        in
-        Alcotest.(check string) (msg ^ ": message") reference.Bench_format.message
-          e.Bench_format.message
-  in
-  expect_error "cycle" "INPUT(a)\nx = AND(a, y)\ny = AND(a, x)\nOUTPUT(y)\n";
-  expect_error "twice" "INPUT(a)\nx = NOT(a)\nx = BUFF(a)\nOUTPUT(x)\n";
-  expect_error "undriven out" "INPUT(a)\nx = NOT(a)\nOUTPUT(zz)\n";
-  expect_error "syntax" "INPUT(a)\nx = \nOUTPUT(x)\n"
-
 (* ---- zero-allocation regression --------------------------------------------- *)
 
 (* Same canary as bench/main.ml: computed float arguments to an
@@ -504,13 +394,6 @@ let () =
           q prop_two_lane_differential;
           Alcotest.test_case "second lane needs reverse2" `Quick
             test_gradient2_needs_reverse2;
-        ] );
-      ( "streaming loader",
-        [
-          Alcotest.test_case "CSR path identical to record path" `Quick
-            test_stream_loader_identical;
-          Alcotest.test_case "errors match the record loader" `Quick
-            test_stream_loader_errors;
         ] );
       ( "allocation",
         [

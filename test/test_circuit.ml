@@ -350,7 +350,11 @@ let test_blif_errors () =
   expect_error ".model m\n.inputs a\n.outputs y\n.unknown\n.end\n" "unsupported directive";
   expect_error
     ".model m\n.inputs a\n.outputs y\n.gate inv i0=n1 O=y\n.gate inv i0=y O=n1\n.end\n"
-    "cycle"
+    "cycle";
+  (* A gate may not drive a primary input net. *)
+  expect_error
+    ".model m\n.inputs a b\n.outputs y\n.gate nand2 A=a B=b O=a\n.gate inv A=a O=y\n.end\n"
+    "line 4: net a driven twice"
 
 let test_blif_roundtrip () =
   let lib =
@@ -462,12 +466,17 @@ let test_blif_truncated_inputs () =
   Alcotest.(check bool) "some prefixes are malformed" true !saw_error
 
 let test_blif_parse_file_missing () =
-  match Blif.parse_file ~library:(Cell.Library.default ()) "no/such/file.blif" with
+  (match Blif.parse_file ~library:(Cell.Library.default ()) "no/such/file.blif" with
   | Ok _ -> Alcotest.fail "expected an error"
   | Error e ->
       Alcotest.(check bool) "mentions the path" true
         (Format.asprintf "%a" Blif.pp_error e <> "")
-  | exception e -> Alcotest.failf "escaped with %s" (Printexc.to_string e)
+  | exception e -> Alcotest.failf "escaped with %s" (Printexc.to_string e));
+  (* A path that opens but cannot be read, too. *)
+  match Blif.parse_file ~library:(Cell.Library.default ()) "." with
+  | Ok _ -> Alcotest.fail "expected an error for a directory"
+  | Error e -> Alcotest.(check int) "whole-file error" 0 e.Blif.line
+  | exception e -> Alcotest.failf "directory escaped with %s" (Printexc.to_string e)
 
 let prop_blif_roundtrip_random_dags =
   (* Any generated netlist survives serialise -> parse with its structure
@@ -523,6 +532,8 @@ OUTPUT(23)
 23 = NAND(16, 19)
 |}
 
+let gate_names n = Array.map (fun (g : Netlist.gate) -> g.Netlist.gate_name) (Netlist.gates n)
+
 let test_bench_parse_c17 () =
   match Bench_format.parse_string ~library:(Cell.Library.default ()) c17_bench with
   | Error e -> Alcotest.failf "parse: %s" (Format.asprintf "%a" Bench_format.pp_error e)
@@ -530,7 +541,53 @@ let test_bench_parse_c17 () =
       Alcotest.(check int) "gates" 6 (Netlist.n_gates n);
       Alcotest.(check int) "pis" 5 (Netlist.n_pis n);
       Alcotest.(check int) "pos" 2 (Netlist.n_pos n);
-      Alcotest.(check int) "depth" 3 (Netlist.depth n)
+      Alcotest.(check int) "depth" 3 (Netlist.depth n);
+      (* Each gate is named after the net it drives, as BLIF gates are. *)
+      Alcotest.(check (array string)) "gate names"
+        [| "10"; "11"; "16"; "19"; "22"; "23" |]
+        (gate_names n)
+
+(* Covers the decomposition paths (wide AND/NAND/XOR, BUFF/NOT), the DFF
+   cut, comments and blank lines in one file. *)
+let synthetic_bench =
+  {|# synthetic decomposition exercise
+INPUT(a)
+INPUT(b)
+INPUT(c)
+INPUT(d)
+INPUT(e)
+
+s = DFF(w)
+w = NAND(a, b, c, d, e)
+x = AND(a, b, c, d)
+y = XOR(x, s, c)
+z = NOR(y, w, d)
+o = NOT(z)
+p = BUFF(o)
+OUTPUT(p)
+OUTPUT(y)
+|}
+
+let test_bench_synthetic () =
+  match Bench_format.parse_string ~library:(Cell.Library.default ()) synthetic_bench with
+  | Error e -> Alcotest.failf "parse: %s" (Format.asprintf "%a" Bench_format.pp_error e)
+  | Ok n ->
+      Alcotest.(check (array string)) "pis (DFF output last)"
+        [| "a"; "b"; "c"; "d"; "e"; "s_ff" |]
+        (Array.init (Netlist.n_pis n) (Netlist.pi_name n));
+      Alcotest.(check (array string)) "pos (DFF data input first)"
+        [| "s_d"; "p"; "y" |]
+        (Array.init (Netlist.n_pos n) (Netlist.po_name n));
+      (* NAND5 = nand2(and2(a, b), and2(c, and2(d, e))); AND4 = a balanced
+         and2 tree; XOR3 folds into two xor2; NOR3 maps directly. *)
+      Alcotest.(check (array string)) "cells"
+        [| "and2"; "and2"; "and2"; "nand2"; "and2"; "and2"; "and2"; "xor2"; "xor2";
+           "nor3"; "inv"; "buf" |]
+        (Array.map (fun (g : Netlist.gate) -> g.Netlist.cell.Cell.name) (Netlist.gates n));
+      Alcotest.(check (array string)) "names (internal gates keep g<id>)"
+        [| "g0"; "g1"; "g2"; "w"; "g4"; "g5"; "x"; "g7"; "y"; "z"; "o"; "p" |]
+        (gate_names n);
+      Alcotest.(check int) "depth" 7 (Netlist.depth n)
 
 let test_bench_out_of_order () =
   let text = "INPUT(a)\nOUTPUT(y)\ny = NOT(m)\nm = NOT(a)\n" in
@@ -564,20 +621,40 @@ let test_bench_dff_cut () =
       Alcotest.(check int) "pos" 2 (Netlist.n_pos n);
       Alcotest.(check int) "gates" 2 (Netlist.n_gates n)
 
+(* Elaboration errors name the offending statement's line; whole-file
+   errors (a cycle or an undriven net) have none and report line 0. *)
 let test_bench_errors () =
-  let lib = Cell.Library.default () in
-  let expect text =
-    match Bench_format.parse_string ~library:lib text with
+  let expect ?(library = Cell.Library.default ()) text message =
+    match Bench_format.parse_string ~library text with
     | Ok _ -> Alcotest.failf "expected failure for %S" text
-    | Error _ -> ()
+    | Error e ->
+        Alcotest.(check string) text message (Format.asprintf "%a" Bench_format.pp_error e)
   in
-  expect "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n";
-  expect "INPUT(a)\nOUTPUT(y)\ny = NOT(zz)\n";
-  expect "INPUT(a)\nOUTPUT(y)\ny = NOT(a\n";
-  expect "INPUT(a)\nINPUT(a)\nOUTPUT(y)\ny = NOT(a)\n";
-  expect "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny = NOT(a)\n";
-  (* cycle *)
+  expect "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n"
+    "bench: line 3: unsupported operator FROB with 1 inputs";
+  expect "INPUT(a)\nINPUT(b)\nOUTPUT(y)\n\ny = FOO(a, b)\n"
+    "bench: line 5: unsupported operator FOO with 2 inputs";
+  expect "INPUT(a)\nOUTPUT(y)\ny = NOT(zz)\n"
+    "bench: line 0: combinational cycle or undriven net in .bench file";
+  expect "INPUT(a)\nOUTPUT(y)\ny = NOT(a\n"
+    "bench: line 3: unbalanced parentheses in \" NOT(a\"";
+  expect "INPUT(a)\nINPUT(a)\nOUTPUT(y)\ny = NOT(a)\n" "bench: line 2: duplicate INPUT a";
+  expect "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny = NOT(a)\n" "bench: line 4: net y driven twice";
+  expect "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\nq = DFF(a, y)\n"
+    "bench: line 4: DFF takes one input";
+  expect ~library:(Cell.Library.of_list [ Cell.nand 2 ])
+    "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n" "bench: line 3: library has no cell inv";
+  expect "INPUT(a)\nOUTPUT(zz)\ny = NOT(a)\n" "bench: line 2: output zz is not driven";
   expect "INPUT(a)\nOUTPUT(y)\ny = NAND(a, z)\nz = NOT(y)\n"
+    "bench: line 0: combinational cycle or undriven net in .bench file";
+  (* One driver per net: INPUT, DFF and assignment targets never share a
+     name, whichever comes first. *)
+  expect "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\na = DFF(y)\n" "bench: line 4: net a driven twice";
+  expect "a = DFF(y)\nINPUT(a)\nOUTPUT(y)\ny = NOT(a)\n" "bench: line 2: net a driven twice";
+  expect "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\nq = DFF(y)\nq = DFF(a)\n"
+    "bench: line 5: net q driven twice";
+  expect "INPUT(a)\nOUTPUT(y)\nq = DFF(a)\ny = NOT(a)\nq = NOT(y)\n"
+    "bench: line 5: net q driven twice"
 
 (* ---- cell library files -------------------------------------------------------------- *)
 
@@ -756,6 +833,7 @@ let () =
             test_bench_wide_gate_decomposition;
           Alcotest.test_case "dff cut" `Quick test_bench_dff_cut;
           Alcotest.test_case "errors" `Quick test_bench_errors;
+          Alcotest.test_case "synthetic decomposition" `Quick test_bench_synthetic;
           Alcotest.test_case "parse_file robustness" `Quick test_bench_parse_file_robust;
           Alcotest.test_case "truncated prefixes" `Quick test_bench_truncated_prefixes;
         ] );

@@ -440,10 +440,11 @@ let test_cli_unconverged_size_profile () =
 
 let test_cli_infeasible_gp_profile () = check_exit_2_keeps_profile "gp -c tree --bound 0.1"
 
-(* A bad uniform [--sizes] value is a usage error: one line on stderr,
-   nothing on stdout, exit 1 — never a report at clamped sizes or an
-   uncaught exception. *)
-let check_bad_sizes_rejected value =
+(* A usage error — a bad uniform [--sizes] value, an unreadable or
+   malformed circuit file — prints one line on stderr, nothing on
+   stdout, and exits 1: never a report at clamped sizes or an uncaught
+   exception (exit 125).  Returns the stderr line. *)
+let check_usage_error args =
   match Lazy.force statsize with
   | None -> Alcotest.skip ()
   | Some exe ->
@@ -454,20 +455,34 @@ let check_bad_sizes_rejected value =
         (fun () ->
           let code =
             Sys.command
-              (Printf.sprintf "%s analyze -c tree --sizes %s > %s 2> %s" exe value
-                 (Filename.quote out) (Filename.quote err))
+              (Printf.sprintf "%s %s > %s 2> %s" exe args (Filename.quote out)
+                 (Filename.quote err))
           in
           Alcotest.(check int) "exit code" 1 code;
           Alcotest.(check string) "no report" ""
             (In_channel.with_open_text out In_channel.input_all);
-          let lines =
-            String.split_on_char '\n'
-              (String.trim (In_channel.with_open_text err In_channel.input_all))
-          in
-          Alcotest.(check int) "one-line error" 1 (List.length lines))
+          let text = String.trim (In_channel.with_open_text err In_channel.input_all) in
+          Alcotest.(check int) "one-line error" 1
+            (List.length (String.split_on_char '\n' text));
+          text)
 
-let test_cli_nan_sizes_rejected () = check_bad_sizes_rejected "nan"
-let test_cli_sizes_below_one_rejected () = check_bad_sizes_rejected "0.5"
+let test_cli_nan_sizes_rejected () = ignore (check_usage_error "analyze -c tree --sizes nan")
+
+let test_cli_sizes_below_one_rejected () =
+  ignore (check_usage_error "analyze -c tree --sizes 0.5")
+
+let test_cli_blif_directory_rejected () = ignore (check_usage_error "analyze --blif .")
+
+let test_cli_bench_error_line () =
+  let bench = Filename.temp_file "statsize_foo" ".bench" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove bench)
+    (fun () ->
+      Out_channel.with_open_text bench (fun oc ->
+          output_string oc "INPUT(a)\nINPUT(b)\nOUTPUT(y)\n\ny = FOO(a, b)\n");
+      Alcotest.(check string) "stderr"
+        "statsize: bench: line 5: unsupported operator FOO with 2 inputs"
+        (check_usage_error ("analyze --bench " ^ Filename.quote bench)))
 
 let () =
   Alcotest.run "resilience"
@@ -516,5 +531,9 @@ let () =
           Alcotest.test_case "nan --sizes rejected" `Quick test_cli_nan_sizes_rejected;
           Alcotest.test_case "--sizes below 1 rejected" `Quick
             test_cli_sizes_below_one_rejected;
+          Alcotest.test_case "--blif directory rejected" `Quick
+            test_cli_blif_directory_rejected;
+          Alcotest.test_case "--bench error names its line" `Quick
+            test_cli_bench_error_line;
         ] );
     ]
