@@ -4,7 +4,7 @@
      analyze  - statistical timing report of a circuit at given sizes
      size     - solve a sizing problem and report the result
      mc       - batched Monte Carlo sampling of the circuit delay distribution
-     tables   - regenerate the paper's tables (same harness as bench/) *)
+     tables   - regenerate the paper's tables and figures *)
 
 open Cmdliner
 
@@ -673,43 +673,60 @@ let mc_cmd =
 (* ---- tables -------------------------------------------------------------------- *)
 
 let tables_cmd =
-  let run which =
-    let model = Circuit.Sigma_model.paper_default in
-    let all =
-      [
-        "example"; "table2"; "table3"; "yield"; "mc"; "corner"; "ablation";
-        "extensions"; "table1";
-      ]
-    in
-    let selected = match which with [] -> all | w -> w in
+  let model = Circuit.Sigma_model.paper_default in
+  (* Every table by name, in the default run order. *)
+  let tables =
+    [
+      ("example", fun _pool -> Experiments.Example_fig2.(print (run ~model ())));
+      ("table2", fun _pool -> Experiments.Table2.(print (run ~model ())));
+      ("table3", fun _pool -> Experiments.Table3.(print (run ~model ())));
+      ( "yield",
+        fun _pool ->
+          Experiments.Yield_exp.(print (run ~model ~net:(Circuit.Generate.tree ()) ()));
+          Experiments.Yield_exp.(print (run ~model ())) );
+      ("mc", fun _pool -> Experiments.Mc_accuracy.(print (run ~model ())));
+      ("corner", fun _pool -> Experiments.Corner_exp.(print (run ~model ())));
+      ("ablation", fun _pool -> Experiments.Ablation.(print (run ())));
+      ( "extensions",
+        fun _pool ->
+          Experiments.Nary_exp.(print (run ()));
+          Experiments.Correlation_exp.(print (run ~model ()));
+          Experiments.Power_exp.(print (run ~model ()));
+          Experiments.Robust_exp.(print (run ()));
+          (* The full area-delay curve whose endpoints are Table 1's
+             first two rows. *)
+          Sizing.Sweep.print
+            (Sizing.Sweep.area_delay ~model ~k:3. ~points:6
+               (Circuit.Generate.apex2_like ())) );
+      ("table1", fun pool -> Experiments.Table1.(print (run ~model ?pool ())));
+      ("scale", fun pool -> Experiments.Scale_exp.(print (run ~model ?pool ())));
+    ]
+  in
+  let names = List.map fst tables in
+  let run which jobs profile =
+    (* Every name is checked before any table runs. *)
+    (match List.filter (fun name -> not (List.mem_assoc name tables)) which with
+    | [] -> ()
+    | unknown ->
+        Printf.eprintf "statsize: unknown table %s (valid: %s)\n"
+          (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+          (String.concat ", " names);
+        exit 1);
+    with_runtime ~jobs ~profile @@ fun pool ->
     List.iter
-      (fun name ->
-        match name with
-        | "table1" -> Experiments.Table1.(print (run ~model ()))
-        | "table2" -> Experiments.Table2.(print (run ~model ()))
-        | "table3" -> Experiments.Table3.(print (run ~model ()))
-        | "example" -> Experiments.Example_fig2.(print (run ~model ()))
-        | "yield" ->
-            Experiments.Yield_exp.(print (run ~model ~net:(Circuit.Generate.tree ()) ()));
-            Experiments.Yield_exp.(print (run ~model ()))
-        | "mc" -> Experiments.Mc_accuracy.(print (run ~model ()))
-        | "corner" -> Experiments.Corner_exp.(print (run ~model ()))
-        | "scale" -> Experiments.Scale_exp.(print (run ~model ()))
-        | "ablation" -> Experiments.Ablation.(print (run ()))
-        | "extensions" ->
-            Experiments.Nary_exp.(print (run ()));
-            Experiments.Correlation_exp.(print (run ~model ()));
-            Experiments.Power_exp.(print (run ~model ()))
-        | other -> Printf.eprintf "statsize tables: skipping unknown table %S\n" other)
-      selected
+      (fun name -> List.assoc name tables pool)
+      (match which with [] -> names | w -> w)
   in
   let which_arg =
-    let doc = "Tables to regenerate (default: all)." in
+    let doc =
+      "Tables to regenerate (default: all, in this order): "
+      ^ String.concat ", " names ^ "."
+    in
     Arg.(value & pos_all string [] & info [] ~docv:"TABLE" ~doc)
   in
   Cmd.v
     (Cmd.info "tables" ~doc:"Regenerate the paper's tables and figures")
-    Term.(const run $ which_arg)
+    Term.(const run $ which_arg $ jobs_arg $ profile_arg)
 
 (* ---- sim --------------------------------------------------------------------- *)
 

@@ -509,26 +509,30 @@ let monotone_counters (st : State.t) _ =
       else err "counter %s went backwards: %d -> %d" what prev cur)
     (Ok ()) pairs
 
-(* Release-profile allocation ceiling: when the Clark kernels inline
-   (the same canary as test_arena / bench), a steady-state forward sweep
-   over the scratch arena stays under the flat 256-word ceiling
-   regardless of circuit size.  Skipped in dev builds, where -opaque
-   suppresses cross-library inlining. *)
+(* Inlining canary: computed float arguments to an in-place kernel box
+   at every call unless the call inlined.  The dev profile compiles
+   with -opaque, which blocks cross-library inlining; release inlines
+   the Clark kernels and the sweeps run allocation-free.  [Gc.minor_words]
+   itself boxes its result, so a clean loop still reads a few words;
+   boxed calls read thousands (>= 4 words per call over 1000 calls). *)
 let kernels_inlined =
-  lazy
-    (let out = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 2 in
-     Bigarray.Array1.fill out 0.;
-     let x = Sys.opaque_identity 0.5 in
-     Gc.full_major ();
-     let w0 = Gc.minor_words () in
-     for _ = 1 to 1000 do
-       Statdelay.Clark.add_into ~mu_a:(x +. 0.5) ~var_a:(x *. 0.2)
-         ~mu_b:(x +. 1.5) ~var_b:(x *. 0.4) out 0
-     done;
-     ignore
-       (Sys.opaque_identity
-          (Statdelay.Clark.vget out 0 +. Statdelay.Clark.vget out 1));
-     Gc.minor_words () -. w0 < 64.)
+  let probe =
+    lazy
+      (let out = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 2 in
+       Bigarray.Array1.fill out 0.;
+       let x = Sys.opaque_identity 0.5 in
+       Gc.full_major ();
+       let w0 = Gc.minor_words () in
+       for _ = 1 to 1000 do
+         Statdelay.Clark.add_into ~mu_a:(x +. 0.5) ~var_a:(x *. 0.2)
+           ~mu_b:(x +. 1.5) ~var_b:(x *. 0.4) out 0
+       done;
+       ignore
+         (Sys.opaque_identity
+            (Statdelay.Clark.vget out 0 +. Statdelay.Clark.vget out 1));
+       Gc.minor_words () -. w0 < 64.)
+  in
+  fun () -> Lazy.force probe
 
 let words_per_eval ~reps f =
   f ();
@@ -539,8 +543,12 @@ let words_per_eval ~reps f =
   done;
   (Gc.minor_words () -. w0) /. float_of_int reps
 
+(* Release-profile allocation ceiling: when the Clark kernels inline, a
+   steady-state forward sweep over the scratch arena stays under the
+   flat 256-word ceiling regardless of circuit size.  Skipped in dev
+   builds. *)
 let words_ceiling (st : State.t) _ =
-  if not (Lazy.force kernels_inlined) then Ok ()
+  if not (kernels_inlined ()) then Ok ()
   else
     let w =
       words_per_eval ~reps:3 (fun () ->

@@ -71,6 +71,17 @@ val default_suite : ?max_cssta_gates:int -> unit -> check list
       (release profile), a steady-state forward sweep allocates at most
       256 minor words; skipped in dev builds. *)
 
+val kernels_inlined : unit -> bool
+(** The inlining canary, probed once per process: [true] when the Clark
+    kernels inline across library boundaries (release profile), so
+    in-place kernel calls with computed float arguments allocate
+    nothing.  [false] under the dev profile's [-opaque].  Allocation
+    ceilings key on it: strict when inlined, per-gate otherwise. *)
+
+val words_per_eval : reps:int -> (unit -> unit) -> float
+(** Minor-heap words per call of [f]: one warm-up call, a full major
+    collection, then the mean over [reps] calls. *)
+
 val check_all : check list -> State.t -> Op.t -> violation option
 (** First violation in suite order, if any.  An exception raised by a
     check becomes a violation with the exception text as detail. *)

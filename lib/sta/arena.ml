@@ -235,7 +235,7 @@ let clear_pi_arrival t = Bigarray.Array1.fill t.pi 0.
 
 (* ---- instrumentation and level scheduling ----------------------------------- *)
 
-(* Shared with Ssta's boxed sweeps so bench sections aggregate. *)
+(* Shared with Ssta's boxed sweeps so profiles aggregate both. *)
 let c_par_levels = Util.Instr.counter "ssta.parallel_levels"
 let c_ser_levels = Util.Instr.counter "ssta.serial_levels"
 let level_grain = 16

@@ -275,33 +275,6 @@ let test_gradient2_needs_reverse2 () =
 
 (* ---- zero-allocation regression --------------------------------------------- *)
 
-(* Same canary as bench/main.ml: computed float arguments to an
-   in-place kernel allocate at every call unless the call was inlined
-   (dev profile compiles with -opaque, which suppresses cross-library
-   inlining; release inlines and the sweeps run allocation-free). *)
-let kernels_inlined () =
-  let out = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 2 in
-  Bigarray.Array1.fill out 0.;
-  let x = Sys.opaque_identity 0.5 in
-  Gc.full_major ();
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    Statdelay.Clark.add_into ~mu_a:(x +. 0.5) ~var_a:(x *. 0.2) ~mu_b:(x +. 1.5)
-      ~var_b:(x *. 0.4) out 0
-  done;
-  ignore
-    (Sys.opaque_identity (Statdelay.Clark.vget out 0 +. Statdelay.Clark.vget out 1));
-  Gc.minor_words () -. w0 < 64.
-
-let words_per_eval ~reps f =
-  f ();
-  Gc.full_major ();
-  let w0 = Gc.minor_words () in
-  for _ = 1 to reps do
-    f ()
-  done;
-  (Gc.minor_words () -. w0) /. float_of_int reps
-
 let test_steady_state_allocation () =
   let net = wide_dag ~n_gates:400 29 in
   let n = Netlist.n_gates net in
@@ -312,15 +285,18 @@ let test_steady_state_allocation () =
      closes over the section).  Loose per-gate ceiling otherwise (boxed
      kernel arguments only — still far below the boxed sweeps' hundreds
      of words per gate). *)
-  let ceiling = if kernels_inlined () then 256. else 128. *. float_of_int n in
+  let ceiling =
+    if Sim.Invariant.kernels_inlined () then 256. else 128. *. float_of_int n
+  in
   let w_fwd =
-    words_per_eval ~reps:10 (fun () -> Sta.Ssta.forward_raw ~model arena ~sizes)
+    Sim.Invariant.words_per_eval ~reps:10 (fun () ->
+        Sta.Ssta.forward_raw ~model arena ~sizes)
   in
   if w_fwd > ceiling then
     Alcotest.failf "steady-state forward sweep allocates %.0f words/eval (ceiling %.0f)"
       w_fwd ceiling;
   let w_rev =
-    words_per_eval ~reps:10 (fun () ->
+    Sim.Invariant.words_per_eval ~reps:10 (fun () ->
         Sta.Ssta.forward_raw ~model arena ~sizes;
         Sta.Ssta.reverse_raw ~model arena ~d_mu:1. ~d_var:0.)
   in
@@ -329,7 +305,7 @@ let test_steady_state_allocation () =
       "steady-state forward+reverse pair allocates %.0f words/eval (ceiling %.0f)"
       w_rev (2. *. ceiling);
   let w_rev2 =
-    words_per_eval ~reps:10 (fun () ->
+    Sim.Invariant.words_per_eval ~reps:10 (fun () ->
         Sta.Ssta.forward_raw ~model arena ~sizes;
         Sta.Ssta.reverse2_raw ~model arena ~d_mu:1. ~d_var:0. ~d_mu2:0. ~d_var2:1.)
   in
@@ -338,6 +314,51 @@ let test_steady_state_allocation () =
       "steady-state forward+two-lane reverse allocates %.0f words/eval (ceiling %.0f)"
       w_rev2 (2. *. ceiling)
 
+(* ---- generated-DAG golden ------------------------------------------------ *)
+
+(* The generated mapped-DAG family at two sizes (seed 77, wider and
+   deeper as n grows): its structure and its min-size circuit moments
+   are pinned exactly.  A structural drift means the generator or the
+   levelizer changed; a moment drift means the sweep's arithmetic
+   changed.  The 17-significant-digit literals round-trip to the exact
+   doubles, so the moment check is Int64 equality. *)
+let golden_dags =
+  [
+    (2_400, 96, 12, 11, 12, 5_341, 31.392444063267252, 0.21639659362745078);
+    (24_000, 300, 24, 23, 24, 53_348, 64.410889935422617, 0.1874654479088349);
+  ]
+
+let test_generated_dag_golden () =
+  List.iter
+    (fun (n, n_pis, target_depth, depth, levels, fanin_edges, mu, var) ->
+      let net =
+        Generate.random_dag
+          {
+            Generate.default_spec with
+            Generate.n_gates = n;
+            n_pis;
+            target_depth;
+            seed = 77;
+          }
+      in
+      let fl = Netlist.flat net in
+      let msg what = Printf.sprintf "n=%d %s" n what in
+      Alcotest.(check int) (msg "n_gates") n (Netlist.n_gates net);
+      Alcotest.(check int) (msg "n_pis") n_pis (Netlist.n_pis net);
+      Alcotest.(check int) (msg "levels") levels (Array.length fl.Netlist.lvl_off - 1);
+      Alcotest.(check int) (msg "depth") depth (Array.length fl.Netlist.lvl_off - 2);
+      Alcotest.(check int) (msg "fanin edges") fanin_edges fl.Netlist.fi_off.(n);
+      let arena = Sta.Arena.create net in
+      Sta.Ssta.forward_raw ~model arena ~sizes:(Netlist.min_sizes net);
+      let pin what expected actual =
+        if not (Int64.equal (bits expected) (bits actual)) then
+          Alcotest.failf "%s: %.17g (%h) <> golden %.17g (%h)" (msg what) actual actual
+            expected expected
+      in
+      pin "circuit mu" mu (Sta.Arena.circuit_mu arena);
+      pin "circuit var" var (Sta.Arena.circuit_var arena))
+    golden_dags
+
 (* ---- large-DAG smoke -------------------------------------------------------- *)
 
 (* A 10^5-gate generated DAG swept forward and reverse on one arena.
@@ -345,7 +366,7 @@ let test_steady_state_allocation () =
    and the sweep speed makes it cheap); the dev profile skips it, via
    the same inlining canary the allocation test keys on. *)
 let test_large_dag_smoke () =
-  if not (kernels_inlined ()) then
+  if not (Sim.Invariant.kernels_inlined ()) then
     Alcotest.skip ()
   else begin
     let net =
@@ -399,6 +420,11 @@ let () =
         [
           Alcotest.test_case "steady-state sweeps" `Quick
             test_steady_state_allocation;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "generated DAGs at 2400 and 24000 gates" `Quick
+            test_generated_dag_golden;
         ] );
       ( "scale",
         [

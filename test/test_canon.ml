@@ -15,15 +15,22 @@
    - the headline accuracy claim: under a strong shared-source model the
      canonical engine's circuit sigma tracks correlated Monte Carlo
      strictly better than the independent engine on reconvergent
-     circuits. *)
+     circuits;
+   - the canonical fwd+rev pair's per-gate allocation ceiling. *)
 
 open Circuit
 open Statdelay
 
 let model = Sigma_model.paper_default
-let pool2 = Util.Pool.create ~jobs:2 ()
-let pool4 = Util.Pool.create ~jobs:4 ()
-let pools = [ (1, None); (2, Some pool2); (4, Some pool4) ]
+
+(* The 1/2/4-domain configurations, live only while [f] runs: idle pool
+   domains still join every stop-the-world minor collection, which
+   doubles the cost of the allocation-heavy Monte Carlo cases. *)
+let with_pools f =
+  Util.Pool.with_pool ~jobs:2 (fun pool2 ->
+      Util.Pool.with_pool ~jobs:4 (fun pool4 ->
+          f [ (1, None); (2, Some pool2); (4, Some pool4) ]))
+
 let bits = Int64.bits_of_float
 
 let check_float ?(eps = 1e-12) msg expected actual =
@@ -282,6 +289,7 @@ let nets_under_test () =
 let residual_only = Varmodel.make ~grid:2 ()
 
 let test_residual_only_identity () =
+  with_pools @@ fun pools ->
   List.iter
     (fun (name, net) ->
       List.iter
@@ -397,13 +405,12 @@ let test_mc_correlated_determinism () =
         reference
         (run ~batch ()))
     [ 64; 97; 300 ];
-  List.iter
-    (fun (jobs, pool) ->
-      check_floats_identical
-        (Printf.sprintf "jobs %d" jobs)
-        reference
-        (run ?pool ~batch:128 ()))
-    pools;
+  with_pools
+    (List.iter (fun (jobs, pool) ->
+         check_floats_identical
+           (Printf.sprintf "jobs %d" jobs)
+           reference
+           (run ?pool ~batch:128 ())));
   (* Correlated and independent modes draw from disjoint streams but the
      same seed; they must differ under a nontrivial model. *)
   let independent = Sta.Mcsta.sample ~seed:9 ~model net ~sizes ~n:300 in
@@ -413,28 +420,77 @@ let test_mc_correlated_determinism () =
 (* ---- sigma tracking vs correlated ground truth ------------------------------- *)
 
 let test_sigma_tracks_mc () =
-  let net = Generate.apex2_like () in
-  let sizes = Netlist.min_sizes net in
   let vm = Varmodel.make ~grid:2 ~global_frac:0.5 ~grid_frac:0.5 () in
-  let samples =
-    Sta.Mcsta.sample ~seed:3 ~varmodel:vm ~model net ~sizes ~n:20_000
+  List.iter
+    (fun (name, net) ->
+      let sizes = Netlist.min_sizes net in
+      let samples =
+        Sta.Mcsta.sample ~seed:3 ~varmodel:vm ~model net ~sizes ~n:20_000
+      in
+      let mc = Sta.Mcsta.summarize samples in
+      let canon =
+        (Sta.Ssta.analyze ~varmodel:vm ~model net ~sizes).Sta.Ssta.circuit
+      in
+      let ind = (Sta.Ssta.analyze ~model net ~sizes).Sta.Ssta.circuit in
+      let err_canon = abs_float (Normal.sigma canon -. mc.Sta.Mcsta.sigma) in
+      let err_ind = abs_float (Normal.sigma ind -. mc.Sta.Mcsta.sigma) in
+      if not (err_canon < err_ind) then
+        Alcotest.failf
+          "%s: canonical sigma no better: canon %.5f ind %.5f mc %.5f (errors \
+           %.5f vs %.5f)"
+          name (Normal.sigma canon) (Normal.sigma ind) mc.Sta.Mcsta.sigma
+          err_canon err_ind;
+      (* The shared sources must also move the canonical sigma visibly
+         away from the independent prediction. *)
+      if abs_float (Normal.sigma canon -. Normal.sigma ind) < 1e-6 then
+        Alcotest.failf "%s: canonical sigma did not move under a strong varmodel"
+          name)
+    [
+      ("fig2", Generate.example_fig2 ());
+      ("apex1*", Generate.apex1_like ());
+      ("apex2*", Generate.apex2_like ());
+    ]
+
+(* ---- allocation ceiling -------------------------------------------------------- *)
+
+(* A steady-state canonical forward+reverse pair on a reused arena
+   (2400-gate DAG, grid=4x4 model, p = 17).  The Canon kernels carry
+   loops over the parameter count, and the non-flambda inliner does not
+   inline loop-bearing functions, so each cross-library kernel call
+   boxes its float arguments: ~2 words/gate in release.  The ceiling is
+   4 words/gate there, tight enough that any per-gate scratch array
+   (>= p + 2 words/gate) or closure allocation fails.  Under the dev
+   profile's -opaque every per-plane call boxes too, so the ceiling
+   scales with the parameter planes. *)
+let test_canonical_words_per_eval () =
+  let net =
+    Generate.random_dag
+      {
+        Generate.default_spec with
+        Generate.n_gates = 2400;
+        n_pis = 96;
+        target_depth = 12;
+        seed = 77;
+      }
   in
-  let mc = Sta.Mcsta.summarize samples in
-  let canon =
-    (Sta.Ssta.analyze ~varmodel:vm ~model net ~sizes).Sta.Ssta.circuit
+  let n = Netlist.n_gates net in
+  let sizes = Netlist.min_sizes net in
+  let vm = Varmodel.make ~grid:4 ~global_frac:0.25 ~grid_frac:0.25 () in
+  let arena = Sta.Arena.create ~varmodel:vm net in
+  let p = Sta.Arena.n_params arena in
+  Alcotest.(check int) "p" 17 p;
+  let words =
+    Sim.Invariant.words_per_eval ~reps:20 (fun () ->
+        Sta.Ssta.forward_raw ~model arena ~sizes;
+        Sta.Ssta.reverse_raw ~model arena ~d_mu:1. ~d_var:0.)
   in
-  let ind = (Sta.Ssta.analyze ~model net ~sizes).Sta.Ssta.circuit in
-  let err_canon = abs_float (Normal.sigma canon -. mc.Sta.Mcsta.sigma) in
-  let err_ind = abs_float (Normal.sigma ind -. mc.Sta.Mcsta.sigma) in
-  if not (err_canon < err_ind) then
-    Alcotest.failf
-      "canonical sigma no better: canon %.5f ind %.5f mc %.5f (errors %.5f vs %.5f)"
-      (Normal.sigma canon) (Normal.sigma ind) mc.Sta.Mcsta.sigma err_canon
-      err_ind;
-  (* The shared sources must also move the canonical sigma visibly away
-     from the independent prediction. *)
-  if abs_float (Normal.sigma canon -. Normal.sigma ind) < 1e-6 then
-    Alcotest.fail "canonical sigma did not move under a strong varmodel"
+  let ceiling =
+    if Sim.Invariant.kernels_inlined () then 4. *. float_of_int n
+    else 128. *. float_of_int (n * (1 + p))
+  in
+  if words > ceiling then
+    Alcotest.failf "canonical fwd+rev allocates %.0f words/eval (ceiling %.0f)" words
+      ceiling
 
 let () =
   let q = Seed_info.to_alcotest in
@@ -469,6 +525,11 @@ let () =
             test_canonical_gradient_fd;
           Alcotest.test_case "sigma tracks correlated MC" `Quick
             test_sigma_tracks_mc;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "canonical fwd+rev words/eval" `Quick
+            test_canonical_words_per_eval;
         ] );
       ( "mc determinism",
         [

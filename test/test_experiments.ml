@@ -217,7 +217,7 @@ let test_scale_runs_small () =
   | _ -> Alcotest.fail "expected two rows"
 
 let test_prints_do_not_raise () =
-  (* The print functions are exercised by the bench harness; here we only
+  (* The print functions are exercised by `statsize tables`; here we only
      make sure they do not raise on real data. *)
   let r2 = Table2.run ~model () in
   Table2.print r2;
@@ -225,6 +225,81 @@ let test_prints_do_not_raise () =
   Table3.print r3;
   Example_fig2.print (Example_fig2.run ~model ());
   Alcotest.(check bool) "ok" true true
+
+(* ---- EXPERIMENTS.md drift ------------------------------------------------------ *)
+
+let experiments_md =
+  lazy
+    (match List.find_opt Sys.file_exists [ "../EXPERIMENTS.md"; "EXPERIMENTS.md" ] with
+    | Some path -> In_channel.with_open_text path In_channel.input_all
+    | None -> Alcotest.fail "EXPERIMENTS.md not found (is it a test dep?)")
+
+(* The body rows of the first markdown table in the section whose
+   heading line starts with [heading], as trimmed cells. *)
+let doc_rows heading =
+  let rec section = function
+    | [] -> Alcotest.failf "EXPERIMENTS.md has no section %S" heading
+    | l :: rest when String.starts_with ~prefix:heading l -> rest
+    | _ :: rest -> section rest
+  in
+  let rec table acc = function
+    | l :: rest when String.starts_with ~prefix:"|" l -> table (l :: acc) rest
+    | l :: rest when acc = [] && not (String.starts_with ~prefix:"## " l) -> table acc rest
+    | _ -> List.rev acc
+  in
+  let cells l =
+    String.sub l 1 (String.length l - 2)
+    |> String.split_on_char '|' |> List.map String.trim
+  in
+  match
+    table [] (section (String.split_on_char '\n' (Lazy.force experiments_md)))
+    |> List.map (fun l -> cells (String.trim l))
+  with
+  | _header :: _separator :: rows -> rows
+  | _ -> Alcotest.failf "EXPERIMENTS.md section %S has no table" heading
+
+(* Each regenerated row, cut to its first [cols] cells, must equal the
+   matching documented row (those [doc] keeps, in order). *)
+let check_doc_table ?(doc = Option.some) ~heading ~cols generated =
+  let documented = List.filter_map doc (doc_rows heading) in
+  Alcotest.(check int) (heading ^ ": rows") (List.length generated)
+    (List.length documented);
+  let cut = List.filteri (fun i _ -> i < cols) in
+  List.iter2
+    (fun g d ->
+      Alcotest.(check (list string)) (heading ^ ": " ^ String.concat " | " (cut d))
+        (cut g) (cut d))
+    generated documented
+
+let fmt decimals = Util.Table.fmt_float ~decimals
+
+(* Fig. 2 and Tables 2-3 at their printed precision, against the rows
+   EXPERIMENTS.md documents. *)
+let test_docs_match_tables () =
+  let fig2 = Example_fig2.run ~model () in
+  check_doc_table ~heading:"## Section 5 worked example" ~cols:5
+    (List.map
+       (fun (label, (s : Sizing.Engine.solution)) ->
+         let open Sizing.Engine in
+         [ label; fmt 3 s.mu; fmt 4 s.sigma; fmt 3 (s.mu +. (3. *. s.sigma)); fmt 2 s.area ])
+       [ ("full (eq. 18)", fig2.Example_fig2.full); ("reduced", fig2.Example_fig2.reduced) ]);
+  let r2 = Table2.run ~model () in
+  check_doc_table ~heading:"## Table 2" ~cols:5
+    (List.map
+       (fun { Table2.solution = s; _ } ->
+         let minimize, constr = Sizing.Report.split_objective s.Sizing.Engine.objective in
+         let open Sizing.Engine in
+         [ minimize; constr; fmt 2 s.mu; fmt 3 s.sigma; fmt 2 s.area ])
+       r2.Table2.rows);
+  let r3 = Table3.run ~model ~target_mu:(Table2.mid_target r2) () in
+  check_doc_table ~heading:"## Table 3" ~cols:8
+    ~doc:(function
+      | label :: sizes when String.starts_with ~prefix:"ours " label ->
+          Some (String.sub label 5 (String.length label - 5) :: sizes)
+      | _ -> None)
+    (List.map
+       (fun (label, sizes) -> label :: Array.to_list (Array.map (fmt 2) sizes))
+       r3.Table3.rows)
 
 let () =
   Alcotest.run "experiments"
@@ -246,4 +321,9 @@ let () =
       ("corner", [ Alcotest.test_case "pessimism" `Slow test_corner_pessimism ]);
       ("scale", [ Alcotest.test_case "small sweep" `Slow test_scale_runs_small ]);
       ("printing", [ Alcotest.test_case "no raise" `Slow test_prints_do_not_raise ]);
+      ( "docs",
+        [
+          Alcotest.test_case "EXPERIMENTS.md fig. 2, Tables 2-3" `Slow
+            test_docs_match_tables;
+        ] );
     ]

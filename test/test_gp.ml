@@ -1,6 +1,7 @@
 (* Differential tests for the geometric-programming backend: posynomial
-   log-log convexity (QCheck), GP-vs-Baseline at equal area, KKT
-   certificates, determinism, and the infeasibility exits. *)
+   log-log convexity (QCheck), GP-vs-Baseline at equal area, GP-vs-auglag
+   at sigma = 0, KKT certificates, determinism, and the infeasibility
+   exits. *)
 
 open Circuit
 open Sizing
@@ -165,6 +166,35 @@ let test_gp_epigraph_tight () =
         Alcotest.failf "%s: epigraph T %.9f vs timed %.9f" name sol.Gp.delay t)
     (nets_under_test ())
 
+(* ---- differential: GP vs the statistical solver at sigma = 0 ------------------ *)
+
+(* At sigma = 0 the statistical min-delay problem IS the mean GP, so the
+   two independently built solvers must land on the same objective.  The
+   GP optimum is global: the local auglag solve may land above it
+   (apex2* cold is ~1.2% high, a real local minimum) but can never beat
+   it, and warm-started at the GP point it must stay there. *)
+let test_gp_vs_auglag_sigma_zero () =
+  let model = Sigma_model.Zero and obj = Objective.Min_delay 0. in
+  List.iter
+    (fun (name, net) ->
+      let g = Gp.solve net (Gp.Min_delay { area_budget = None }) in
+      let gap (s : Engine.solution) =
+        (s.Engine.mu -. g.Gp.mean_delay) /. g.Gp.mean_delay
+      in
+      let cold = gap (Engine.solve ~model net obj) in
+      if cold < -1e-4 then
+        Alcotest.failf "%s: cold auglag beat the global GP optimum by %.2e" name cold;
+      let warm =
+        gap
+          (Engine.solve
+             ~options:{ Engine.default_options with Engine.warm_start = `Gp }
+             ~model net obj)
+      in
+      if Float.abs warm > 1e-3 then
+        Alcotest.failf "%s: GP-warm-started auglag drifted %.2e off the GP optimum"
+          name warm)
+    (nets_under_test ())
+
 (* ---- min-area form ------------------------------------------------------------ *)
 
 let test_min_area_meets_bound () =
@@ -251,6 +281,7 @@ let () =
           Alcotest.test_case "unbudgeted vs baseline" `Slow
             test_gp_unbudgeted_beats_baseline;
           Alcotest.test_case "epigraph tight" `Slow test_gp_epigraph_tight;
+          Alcotest.test_case "auglag at sigma=0" `Slow test_gp_vs_auglag_sigma_zero;
         ] );
       ( "min-area",
         [

@@ -473,6 +473,14 @@ let test_cli_sizes_below_one_rejected () =
 
 let test_cli_blif_directory_rejected () = ignore (check_usage_error "analyze --blif .")
 
+(* Table names are all checked before any table runs: an unknown one
+   exits 1 with the list of valid names, even after a valid one. *)
+let test_cli_unknown_table_rejected () =
+  Alcotest.(check string) "stderr"
+    "statsize: unknown table \"nosuch\" (valid: example, table2, table3, yield, mc, \
+     corner, ablation, extensions, table1, scale)"
+    (check_usage_error "tables table2 nosuch")
+
 let test_cli_bench_error_line () =
   let bench = Filename.temp_file "statsize_foo" ".bench" in
   Fun.protect
@@ -535,5 +543,7 @@ let () =
             test_cli_blif_directory_rejected;
           Alcotest.test_case "--bench error names its line" `Quick
             test_cli_bench_error_line;
+          Alcotest.test_case "unknown table rejected" `Quick
+            test_cli_unknown_table_rejected;
         ] );
     ]
