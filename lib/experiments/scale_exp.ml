@@ -4,8 +4,10 @@ type row = {
   gates : int;
   min_delay_time : float;
   min_delay_iterations : int;
+  min_delay_mark : string;
   bounded_time : float;
   bounded_iterations : int;
+  bounded_mark : string;
   speedup : float;
 }
 
@@ -36,8 +38,10 @@ let run ?(model = Circuit.Sigma_model.paper_default)
           gates;
           min_delay_time = fast.Engine.cpu_time;
           min_delay_iterations = fast.Engine.iterations;
+          min_delay_mark = Report.status_mark fast;
           bounded_time = bounded.Engine.cpu_time;
           bounded_iterations = bounded.Engine.iterations;
+          bounded_mark = Report.status_mark bounded;
           speedup = unsized.Engine.mu /. fast.Engine.mu;
         })
       sizes_list
@@ -62,13 +66,15 @@ let print r =
         [
           string_of_int row.gates;
           Report.cpu_string row.min_delay_time;
-          string_of_int row.min_delay_iterations;
+          string_of_int row.min_delay_iterations ^ row.min_delay_mark;
           Report.cpu_string row.bounded_time;
-          string_of_int row.bounded_iterations;
+          string_of_int row.bounded_iterations ^ row.bounded_mark;
           Printf.sprintf "%.2fx" row.speedup;
         ])
     r.rows;
   Util.Table.print t;
+  if List.exists (fun row -> row.min_delay_mark ^ row.bounded_mark <> "") r.rows then
+    print_endline Report.footnote;
   Printf.printf
     "(the paper reports minutes-to-hours with LANCELOT on 1999 hardware for up\n\
      to 1692 cells; the adjoint-gradient reduced formulation keeps the cost\n\

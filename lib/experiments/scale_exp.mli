@@ -11,8 +11,10 @@ type row = {
   gates : int;
   min_delay_time : float;
   min_delay_iterations : int;
+  min_delay_mark : string;  (** {!Sizing.Report.status_mark} of the solve *)
   bounded_time : float;
   bounded_iterations : int;
+  bounded_mark : string;
   speedup : float;  (** unsized mu / sized mu *)
 }
 

@@ -52,5 +52,6 @@ let print results =
       Printf.printf "# %s: %d cells, delay bound D = %.2f\n" r.case.cname
         (Netlist.n_gates r.case.net) r.bound;
       Util.Table.print (Report.table ~name:r.case.cname r.rows);
+      if List.exists (fun s -> not s.Engine.converged) r.rows then print_endline Report.footnote;
       print_newline ())
     results

@@ -113,7 +113,7 @@ let error_code_of_name = function
 (* ---- encoding ----------------------------------------------------------------- *)
 
 let num f = Json.Num f
-let floats a = Json.List (Array.to_list (Array.map num a))
+let floats a = Json.Floats a
 
 let seed_to_json = function
   | Seed_mu -> Json.Str "mu"
@@ -233,23 +233,16 @@ let field_num name j =
   | None -> Stdlib.Error (Printf.sprintf "missing or non-numeric field %S" name)
 
 let field_floats name j =
-  match Option.bind (Json.member name j) Json.list_ with
-  | None -> Stdlib.Error (Printf.sprintf "missing or non-array field %S" name)
-  | Some items ->
-      let rec go acc = function
-        | [] -> Ok (Array.of_list (List.rev acc))
-        | x :: rest -> (
-            match Json.num x with
-            | Some f -> go (f :: acc) rest
-            | None -> Stdlib.Error (Printf.sprintf "non-numeric entry in %S" name))
-      in
-      go [] items
+  match Option.map (fun v -> (Json.floats v, v)) (Json.member name j) with
+  | Some (Some a, _) -> Ok a
+  | Some (None, Json.List _) -> Stdlib.Error (Printf.sprintf "non-numeric entry in %S" name)
+  | _ -> Stdlib.Error (Printf.sprintf "missing or non-array field %S" name)
 
 let decode_sizes j =
   match Json.member "sizes" j with
   | None -> Ok Committed
   | Some (Json.Num s) -> Ok (Uniform s)
-  | Some (Json.List _) ->
+  | Some (Json.Floats _ | Json.List _) ->
       let* a = field_floats "sizes" j in
       Ok (Explicit a)
   | Some _ -> Stdlib.Error "field \"sizes\" must be a number or an array"
@@ -304,11 +297,11 @@ let decode_request line =
         | Some items ->
             let rec go acc = function
               | [] -> Ok (Whatif { deltas = Array.of_list (List.rev acc) })
-              | Json.List [ g; s ] :: rest -> (
-                  match (Json.int_ g, Json.num s) with
-                  | Some g, Some s -> go ((g, s) :: acc) rest
+              | item :: rest -> (
+                  match Json.floats item with
+                  | Some [| g; s |] when Json.int_ (Json.Num g) <> None ->
+                      go ((int_of_float g, s) :: acc) rest
                   | _ -> Stdlib.Error "whatif delta entries are [gate, size] pairs")
-              | _ -> Stdlib.Error "whatif delta entries are [gate, size] pairs"
             in
             go [] items)
     | Some "gradient" ->

@@ -459,14 +459,18 @@ let pump_lines ?(until = fun () -> false) fd ~on_line =
           match Unix.read fd chunk 0 (Bytes.length chunk) with
           | 0 -> eof := true
           | n ->
-              for i = 0 to n - 1 do
-                let c = Bytes.get chunk i in
-                if c = '\n' then begin
-                  on_line (Buffer.contents buf);
-                  Buffer.clear buf
-                end
-                else Buffer.add_char buf c
-              done
+              (* Whole runs between newlines move in one copy each; the
+                 bytes past [n] are stale. *)
+              let rec split pos =
+                match Bytes.index_from_opt chunk pos '\n' with
+                | Some nl when nl < n ->
+                    Buffer.add_subbytes buf chunk pos (nl - pos);
+                    on_line (Buffer.contents buf);
+                    Buffer.clear buf;
+                    split (nl + 1)
+                | _ -> Buffer.add_subbytes buf chunk pos (n - pos)
+              in
+              split 0
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
           | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> eof := true)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -479,8 +483,11 @@ let write_line_locked lock fd line =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock lock)
     (fun () ->
-      let data = Bytes.of_string (line ^ "\n") in
-      let len = Bytes.length data in
+      (* One copy of the line with its newline, one write syscall. *)
+      let len = String.length line + 1 in
+      let data = Bytes.create len in
+      Bytes.blit_string line 0 data 0 (len - 1);
+      Bytes.set data (len - 1) '\n';
       let off = ref 0 in
       try
         while !off < len do

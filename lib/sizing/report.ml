@@ -17,6 +17,14 @@ let split_objective (o : Objective.t) =
   | Objective.Min_weighted { label; k; bound; _ } ->
       ("min " ^ label, Printf.sprintf "%s <= %g" (Objective.metric_name k) bound)
 
+let status_mark (s : Engine.solution) =
+  if s.Engine.converged then ""
+  else Printf.sprintf " (%s)*" (Nlp.Auglag.termination_name s.Engine.termination)
+
+let footnote =
+  "* not converged: the solver stopped for the reason shown; the row is its best iterate, not \
+   a certified optimum"
+
 let row (s : Engine.solution) =
   let minimize, constr = split_objective s.Engine.objective in
   [
@@ -25,7 +33,7 @@ let row (s : Engine.solution) =
     Table.fmt_float ~decimals:2 s.Engine.mu;
     Table.fmt_float ~decimals:3 s.Engine.sigma;
     Table.fmt_float ~decimals:0 s.Engine.area;
-    cpu_string s.Engine.cpu_time;
+    cpu_string s.Engine.cpu_time ^ status_mark s;
   ]
 
 let header = [ "minimize"; "constraint"; "muTmax"; "sigmaTmax"; "sum S_i"; "CPU" ]

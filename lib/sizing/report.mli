@@ -5,7 +5,15 @@ val split_objective : Objective.t -> string * string
 
 val row : Engine.solution -> string list
 (** [objective; constraint; mu; sigma; area; cpu] cells for a Table-1-style
-    row. *)
+    row; the CPU cell of a solve that did not converge carries
+    {!status_mark}. *)
+
+val status_mark : Engine.solution -> string
+(** [""] for a converged solve, else its termination and a footnote
+    mark, e.g. [" (stalled)*"]. *)
+
+val footnote : string
+(** The note a table prints under rows carrying {!status_mark}. *)
 
 val header : string list
 (** Matching header: name, minimize, constraint, muTmax, sigmaTmax,

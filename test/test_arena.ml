@@ -14,9 +14,12 @@
 open Circuit
 
 let model = Sigma_model.paper_default
-let pool2 = Util.Pool.create ~jobs:2 ()
-let pool4 = Util.Pool.create ~jobs:4 ()
-let pools = [ (1, None); (2, Some pool2); (4, Some pool4) ]
+
+(* A pooled case spawns its pool and joins it when done: idle domains
+   kept alive for the whole suite would still join every stop-the-world
+   minor GC. *)
+let with_jobs jobs f =
+  if jobs = 1 then f None else Util.Pool.with_pool ~jobs (fun pool -> f (Some pool))
 
 (* ---- bit-level comparison helpers ------------------------------------------- *)
 
@@ -132,13 +135,14 @@ let run_differential ?pool ~steps ~seed name net =
 
 let test_differential_all_circuits () =
   List.iter
-    (fun (name, net) ->
-      List.iter
-        (fun (jobs, pool) ->
-          let name = Printf.sprintf "%s jobs=%d" name jobs in
-          run_differential ?pool ~steps:12 ~seed:(31 * jobs) name net)
-        pools)
-    (nets_under_test ())
+    (fun jobs ->
+      with_jobs jobs (fun pool ->
+          List.iter
+            (fun (name, net) ->
+              let name = Printf.sprintf "%s jobs=%d" name jobs in
+              run_differential ?pool ~steps:12 ~seed:(31 * jobs) name net)
+            (nets_under_test ())))
+    [ 1; 2; 4 ]
 
 (* Non-default primary-input arrivals exercise the pi planes. *)
 let test_differential_pi_arrival () =
@@ -257,14 +261,15 @@ let prop_two_lane_differential =
       let maxs = Netlist.max_sizes net in
       let sizes = Array.map (fun hi -> Util.Rng.uniform rng ~lo:1.0 ~hi) maxs in
       List.iter
-        (fun (jobs, pool) ->
-          List.iter
-            (fun (vname, varmodel) ->
-              check_two_lane ?pool ?varmodel
-                (Printf.sprintf "dag%d seed=%d %s x%d" n_gates seed vname jobs)
-                net sizes)
-            [ ("independent", None); ("grid=2", Some grid2) ])
-        [ (1, None); (2, Some pool2) ];
+        (fun jobs ->
+          with_jobs jobs (fun pool ->
+              List.iter
+                (fun (vname, varmodel) ->
+                  check_two_lane ?pool ?varmodel
+                    (Printf.sprintf "dag%d seed=%d %s x%d" n_gates seed vname jobs)
+                    net sizes)
+                [ ("independent", None); ("grid=2", Some grid2) ]))
+        [ 1; 2 ];
       true)
 
 let test_gradient2_needs_reverse2 () =

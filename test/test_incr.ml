@@ -11,10 +11,11 @@ open Circuit
 
 let model = Sigma_model.paper_default
 
-(* Long-lived pools shared across tests (spawning is the expensive part). *)
-let pool2 = Util.Pool.create ~jobs:2 ()
-let pool4 = Util.Pool.create ~jobs:4 ()
-let pools = [ (1, None); (2, Some pool2); (4, Some pool4) ]
+(* A pooled case spawns its pool and joins it when done: idle domains
+   kept alive for the whole suite would still join every stop-the-world
+   minor GC. *)
+let with_jobs jobs f =
+  if jobs = 1 then f None else Util.Pool.with_pool ~jobs (fun pool -> f (Some pool))
 
 (* ---- bit-level comparison helpers ------------------------------------------- *)
 
@@ -122,17 +123,18 @@ let run_differential ?(jobs = 1) ?pool ~steps ~seed name net =
 
 let test_differential_all_circuits () =
   List.iter
-    (fun (name, net) ->
-      List.iter
-        (fun (jobs, pool) ->
-          let name = Printf.sprintf "%s jobs=%d" name jobs in
-          let c = run_differential ~jobs ?pool ~steps:25 ~seed:(17 * jobs) name net in
-          Alcotest.(check bool)
-            (name ^ ": cache hits happened")
-            true
-            (c.Sta.Incr.cache_hits > 0))
-        pools)
-    (nets_under_test ())
+    (fun jobs ->
+      with_jobs jobs (fun pool ->
+          List.iter
+            (fun (name, net) ->
+              let name = Printf.sprintf "%s jobs=%d" name jobs in
+              let c = run_differential ~jobs ?pool ~steps:25 ~seed:(17 * jobs) name net in
+              Alcotest.(check bool)
+                (name ^ ": cache hits happened")
+                true
+                (c.Sta.Incr.cache_hits > 0))
+            (nets_under_test ())))
+    [ 1; 2; 4 ]
 
 let prop_random_dag_differential =
   QCheck.Test.make ~name:"incremental bit-identical on random netlists" ~count:8

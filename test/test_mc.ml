@@ -21,14 +21,17 @@ let model = Sigma_model.paper_default
 let bits = Int64.bits_of_float
 
 (* The pooled tests default to 2- and 4-domain pools; CI overrides the
-   larger one via STATSIZE_TEST_JOBS to pin the pooled path width. *)
+   larger one via STATSIZE_TEST_JOBS to pin the pooled path width.  Each
+   pool lives only for the sampling call that uses it: idle domains
+   would still join every stop-the-world minor GC of the rest of the
+   suite. *)
 let big_jobs =
   match Sys.getenv_opt "STATSIZE_TEST_JOBS" with
   | Some s -> (match int_of_string_opt s with Some j when j >= 2 -> j | _ -> 4)
   | None -> 4
 
-let pool2 = Util.Pool.create ~jobs:2 ()
-let pool_big = Util.Pool.create ~jobs:big_jobs ()
+let sample_pooled ~jobs ?batch ~seed net ~sizes ~n =
+  Util.Pool.with_pool ~jobs (fun pool -> Mcsta.sample ~pool ?batch ~model ~seed net ~sizes ~n)
 
 let wide_dag ?(n_gates = 600) seed =
   Generate.random_dag
@@ -65,14 +68,14 @@ let test_pool_invariance () =
   let sizes = Netlist.min_sizes net in
   let serial = Mcsta.sample ~model ~seed:5 net ~sizes ~n:512 in
   List.iter
-    (fun (label, pool) ->
+    (fun jobs ->
       (* Vary the batch size at the same time: neither knob may matter. *)
       List.iter
         (fun batch ->
-          let s = Mcsta.sample ~pool ~batch ~model ~seed:5 net ~sizes ~n:512 in
-          check_samples_identical (Printf.sprintf "%s batch %d" label batch) serial s)
+          let s = sample_pooled ~jobs ~batch ~seed:5 net ~sizes ~n:512 in
+          check_samples_identical (Printf.sprintf "%d domains batch %d" jobs batch) serial s)
         [ 64; 512 ])
-    [ ("2 domains", pool2); (Printf.sprintf "%d domains" big_jobs, pool_big) ]
+    [ 2; big_jobs ]
 
 let test_seed_sensitivity () =
   let net = Generate.tree () in
@@ -115,7 +118,7 @@ let check_moments name net ~n ~bias_frac =
   let analytic = (Sta.Ssta.analyze ~model net ~sizes).Sta.Ssta.circuit in
   let mu_a = Statdelay.Normal.mu analytic in
   let sigma_a = Statdelay.Normal.sigma analytic in
-  let s = Mcsta.summarize (Mcsta.sample ~pool:pool2 ~model ~seed:17 net ~sizes ~n) in
+  let s = Mcsta.summarize (sample_pooled ~jobs:2 ~seed:17 net ~sizes ~n) in
   let tol_mu, tol_sigma = moment_budget ~sigma:sigma_a ~n ~bias_frac in
   if abs_float (s.Mcsta.mu -. mu_a) > tol_mu then
     Alcotest.failf "%s: mu %.4f vs analytic %.4f (tol %.4f)" name s.Mcsta.mu mu_a
@@ -144,7 +147,7 @@ let test_reconvergent_directional () =
       let analytic = (Sta.Ssta.analyze ~model net ~sizes).Sta.Ssta.circuit in
       let mu_a = Statdelay.Normal.mu analytic in
       let sigma_a = Statdelay.Normal.sigma analytic in
-      let s = Mcsta.summarize (Mcsta.sample ~pool:pool2 ~model ~seed:23 net ~sizes ~n:20_000) in
+      let s = Mcsta.summarize (sample_pooled ~jobs:2 ~seed:23 net ~sizes ~n:20_000) in
       let se_mu, _ = Statdelay.Mc.standard_errors ~sigma:s.Mcsta.sigma ~n:s.Mcsta.n in
       if s.Mcsta.mu > mu_a +. (5. *. se_mu) then
         Alcotest.failf "%s: sampled mu %.4f above analytic %.4f" name s.Mcsta.mu mu_a;
@@ -297,10 +300,7 @@ let test_conformance_claim_sized_tree () =
         (Printf.sprintf "k=%g constraint active" k)
         deadline
         (sol.Sizing.Engine.mu +. (k *. sol.Sizing.Engine.sigma));
-      let samples =
-        Mcsta.sample ~pool:pool_big ~model ~seed:9 net
-          ~sizes:sol.Sizing.Engine.sizes ~n
-      in
+      let samples = sample_pooled ~jobs:big_jobs ~seed:9 net ~sizes:sol.Sizing.Engine.sizes ~n in
       let c = Mcsta.conformance samples ~budget:deadline in
       (* (a) the estimate sits within binomial noise + model bias of the
          prediction.  The bias allowance covers what the normal model

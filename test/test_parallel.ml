@@ -7,11 +7,13 @@ open Circuit
 
 let model = Sigma_model.paper_default
 
-(* Long-lived pools shared by the identity tests: spawning is the
-   expensive part, and reuse across many parallel_for calls is exactly
-   the production usage pattern. *)
-let pool2 = Util.Pool.create ~jobs:2 ()
-let pool4 = Util.Pool.create ~jobs:4 ()
+(* The identity tests share a 2- and a 4-domain pool for the length of
+   one case: reuse across many parallel_for calls is the production
+   pattern, and joining them afterwards keeps idle domains out of every
+   stop-the-world minor GC in the rest of the suite. *)
+let with_pools f =
+  Util.Pool.with_pool ~jobs:2 (fun pool2 ->
+      Util.Pool.with_pool ~jobs:4 (fun pool4 -> f [ (2, pool2); (4, pool4) ]))
 
 (* A circuit wide enough that its level buckets exceed the parallel
    threshold, so the pooled path really runs on worker domains. *)
@@ -239,6 +241,7 @@ let nets_under_test () =
   ]
 
 let test_analyze_bit_identical () =
+  with_pools @@ fun pools ->
   List.iter
     (fun (name, net) ->
       let sizes =
@@ -251,10 +254,11 @@ let test_analyze_bit_identical () =
         (fun (jobs, pool) ->
           let par = Sta.Ssta.analyze ~pool ~model net ~sizes in
           check_results_identical (Printf.sprintf "%s jobs=%d" name jobs) serial par)
-        [ (2, pool2); (4, pool4) ])
+        pools)
     (nets_under_test ())
 
 let test_gradient_bit_identical () =
+  with_pools @@ fun pools ->
   List.iter
     (fun (name, net) ->
       let sizes = Netlist.min_sizes net in
@@ -268,7 +272,7 @@ let test_gradient_bit_identical () =
           let msg = Printf.sprintf "%s jobs=%d" name jobs in
           check_results_identical msg res_s res_p;
           check_floats_identical (msg ^ ": grad") grad_s grad_p)
-        [ (2, pool2); (4, pool4) ])
+        pools)
     (nets_under_test ())
 
 let prop_random_dags_bit_identical =
@@ -279,8 +283,9 @@ let prop_random_dags_bit_identical =
       let sizes = Netlist.min_sizes net in
       let sfun = Sta.Ssta.sigma_seed in
       let res_s, grad_s = Sta.Ssta.value_and_gradient ~model net ~sizes ~seed:sfun in
+      with_pools @@ fun pools ->
       List.for_all
-        (fun pool ->
+        (fun (_, pool) ->
           let res_p, grad_p =
             Sta.Ssta.value_and_gradient ~pool ~model net ~sizes ~seed:sfun
           in
@@ -293,14 +298,17 @@ let prop_random_dags_bit_identical =
           && Array.for_all2
                (fun (a : float) b -> Int64.equal (bits a) (bits b))
                grad_s grad_p)
-        [ pool2; pool4 ])
+        pools)
 
 let test_engine_solution_bit_identical () =
   (* A full solver run drives thousands of pooled evaluations through the
      cache; the optimum must not move by a single bit. *)
   let net = wide_dag ~n_gates:220 41 in
   let serial = Sizing.Engine.solve ~model net (Sizing.Objective.Min_delay 3.) in
-  let par = Sizing.Engine.solve ~pool:pool2 ~model net (Sizing.Objective.Min_delay 3.) in
+  let par =
+    Util.Pool.with_pool ~jobs:2 (fun pool ->
+        Sizing.Engine.solve ~pool ~model net (Sizing.Objective.Min_delay 3.))
+  in
   check_floats_identical "sizes" serial.Sizing.Engine.sizes par.Sizing.Engine.sizes;
   check_normal_identical "circuit" serial.Sizing.Engine.timing.Sta.Ssta.circuit
     par.Sizing.Engine.timing.Sta.Ssta.circuit

@@ -46,6 +46,9 @@ let test_json_float_bits () =
     cases;
   (* Integral fast path renders without exponent or fraction. *)
   Alcotest.(check string) "integral" "7" (Serve.Json.number_to_string 7.);
+  Alcotest.(check string) "negative zero" "-0" (Serve.Json.number_to_string (-0.));
+  (* Shortest, where %.15g gave 4.94065645841247e-324. *)
+  Alcotest.(check string) "smallest subnormal" "5e-324" (Serve.Json.number_to_string 5e-324);
   (* Round trip through a full document. *)
   let doc = Serve.Json.Obj [ ("xs", Serve.Json.List (List.map (fun f -> Serve.Json.Num f) cases)) ] in
   match Serve.Json.parse (Serve.Json.to_string doc) with
@@ -75,7 +78,104 @@ let test_json_values_and_errors () =
       match Serve.Json.parse s with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "parsed garbage %S" s)
-    [ ""; "{"; "[1,"; "{\"a\":}"; "tru"; "1 2" (* trailing garbage *); "\"unterminated" ]
+    [
+      "";
+      "{";
+      "[1,";
+      "{\"a\":}";
+      "tru";
+      "1 2" (* trailing garbage *);
+      "\"unterminated";
+      (* numbers outside RFC 8259's grammar *)
+      "+1";
+      ".5";
+      "1.";
+      "01";
+      "-.5";
+      "[1.,2]";
+      "-";
+      "1e";
+      "1e+";
+      (* \u takes exactly four hex digits; surrogates come in pairs *)
+      "\"\\u0_41\"";
+      "\"\\ud83d\"";
+      "\"\\ude00\"";
+      "\"\\ud83d\\u0041\"";
+    ];
+  (* A surrogate pair is one code point: 4 bytes of UTF-8, not 6 of CESU-8. *)
+  (match Serve.Json.parse "\"\\ud83d\\ude00\\u00e9A\"" with
+  | Ok (Serve.Json.Str s) -> Alcotest.(check string) "surrogate pair" "\xF0\x9F\x98\x80\xC3\xA9A" s
+  | _ -> Alcotest.fail "surrogate pair did not parse to a string");
+  (* All-number arrays come back unboxed; mixed ones stay lists; both
+     render as they were written. *)
+  List.iter
+    (fun (text, floats) ->
+      match Serve.Json.parse text with
+      | Ok v ->
+          Alcotest.(check bool) (text ^ " is a float array") floats
+            (match v with Serve.Json.Floats _ -> true | _ -> false);
+          Alcotest.(check string) (text ^ " re-renders") text (Serve.Json.to_string v)
+      | Error msg -> Alcotest.failf "cannot parse %S: %s" text msg)
+    [
+      ("[1,-0,2.5,1e-05,1e+300]", true);
+      ("[1,\"two\",3]", false);
+      ("[[0,2],[1.5,-3]]", false);
+      ("[]", false);
+    ]
+
+(* The renderer before Ryu, kept as the oracle: the shortest of
+   %.15g/%.16g/%.17g that parses back to the same bits. *)
+let oracle_number f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let try_prec p =
+      let s = Printf.sprintf "%.*g" p f in
+      if float_of_string s = f then Some s else None
+    in
+    match try_prec 15 with
+    | Some s -> s
+    | None -> ( match try_prec 16 with Some s -> s | None -> Printf.sprintf "%.17g" f)
+
+(* Uniform bit patterns, with the edges forced in: subnormals, +-0,
+   +-max, the smallest normal and signed powers of two. *)
+let arb_double =
+  let open QCheck.Gen in
+  let signed g = map2 (fun x neg -> if neg then -.x else x) g bool in
+  QCheck.make ~print:(Printf.sprintf "%h")
+    (frequency
+       [
+         (6, map Int64.float_of_bits int64);
+         (1, signed (map (fun m -> Int64.float_of_bits (Int64.logand m 0xF_FFFF_FFFF_FFFFL)) int64));
+         (1, signed (oneofl [ 0.; Float.max_float; Float.min_float; 5e-324 ]));
+         (1, signed (map (fun k -> Float.ldexp 1. k) (int_range (-1074) 1023)));
+       ])
+
+let parses_to f text =
+  match Serve.Json.parse text with
+  | Ok (Serve.Json.Num g) -> Int64.equal (bits g) (bits f)
+  | _ -> false
+
+let prop_number_rendering =
+  QCheck.Test.make ~count:20_000 ~name:"every double: exact, never longer, %g layout"
+    arb_double (fun f ->
+      QCheck.assume (Float.is_finite f);
+      let s = Serve.Json.to_string (Serve.Json.Num f) and o = oracle_number f in
+      parses_to f s
+      && String.length s <= String.length o
+      && (String.length s < String.length o || String.equal s o))
+
+let prop_scanner_spellings =
+  QCheck.Test.make ~count:5_000 ~name:"scanner reads %.17g, %.15e, %.15E and shortest"
+    arb_double (fun f ->
+      QCheck.assume (Float.is_finite f);
+      List.for_all
+        (fun text -> parses_to (float_of_string text) text)
+        [
+          Printf.sprintf "%.17g" f;
+          Printf.sprintf "%.15e" f;
+          Printf.sprintf "%.15E" f;
+          Serve.Json.number_to_string f;
+        ])
 
 (* ---- Protocol ----------------------------------------------------------------- *)
 
@@ -164,6 +264,17 @@ let test_request_rejects_garbage () =
       "{\"op\":\"size\"}";
       "{\"op\":\"size\",\"objective\":{\"kind\":\"min-sigma\"}}";
       "{\"op\":\"analyze\",\"sizes\":\"big\"}";
+    ];
+  (* A present but malformed [sizes] says what is wrong with it. *)
+  List.iter
+    (fun (line, msg) ->
+      match Serve.Protocol.decode_request line with
+      | Error e -> Alcotest.(check string) line msg e
+      | Ok _ -> Alcotest.failf "decoded garbage request %S" line)
+    [
+      ("{\"op\":\"analyze\",\"sizes\":\"big\"}", "field \"sizes\" must be a number or an array");
+      ("{\"op\":\"analyze\",\"sizes\":true}", "field \"sizes\" must be a number or an array");
+      ("{\"op\":\"analyze\",\"sizes\":[1,\"x\"]}", "non-numeric entry in \"sizes\"");
     ]
 
 let sample_responses =
@@ -769,6 +880,121 @@ let test_server_quarantine () =
   Alcotest.(check int) "one served" 1 served;
   Alcotest.(check int) "four refused" 4 refused
 
+(* Over a real Unix socket: a request longer than the reader's 4096-byte
+   chunk, requests cut mid-line across writes and several in one write
+   each get exactly one reply line, in order, with the id echoed.  A
+   3000-byte write followed by shorter ones leaves stale newlines past
+   the end of later reads. *)
+let test_socket_framing () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "statsize-test-%d.sock" (Unix.getpid ()))
+  in
+  (* Room for every request: a shed reply would overtake queued ones. *)
+  let t =
+    Serve.Server.create ~config:{ Serve.Server.default_config with queue_capacity = 128 } ()
+  in
+  Serve.Server.add_circuit t ~name:"tree" ~model (netlist "tree");
+  (try Sys.remove path with Sys_error _ -> ());
+  (* run_socket installs process-wide SIGTERM/SIGINT/SIGPIPE handlers;
+     the ones in force before it are put back however the case ends, so
+     later cases still die on Ctrl-C or a timeout's SIGTERM. *)
+  let signals = [ Sys.sigterm; Sys.sigint; Sys.sigpipe ] in
+  let saved =
+    List.map
+      (fun s ->
+        let b = Sys.signal s Sys.Signal_default in
+        Sys.set_signal s b;
+        (s, b))
+      signals
+  in
+  let server = Thread.create (fun () -> Serve.Server.run_socket t ~path) () in
+  (* The socket exists only after run_socket's handlers are in place, so
+     from then on SIGTERM drains the server instead of killing the test. *)
+  let listening = ref false and stopped = ref false and fd = ref None in
+  let stop_server () =
+    if !listening && not !stopped then begin
+      stopped := true;
+      (* run_socket drains on SIGTERM, as the daemon does. *)
+      Unix.kill (Unix.getpid ()) Sys.sigterm;
+      Thread.join server
+    end
+  in
+  let received = Buffer.create 8192 in
+  let lines () = List.filter (( <> ) "") (String.split_on_char '\n' (Buffer.contents received)) in
+  let ids =
+    List.init 60 (fun i -> Serve.Json.Num (float_of_int i))
+    @ [ Serve.Json.Str (String.make 5000 'x'); Serve.Json.Num 60. ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_server ();
+      Option.iter Unix.close !fd;
+      List.iter (fun (s, b) -> Sys.set_signal s b) saved)
+    (fun () ->
+      let rec await_socket tries =
+        if not (Sys.file_exists path) then
+          if tries = 0 then Alcotest.fail "socket never appeared"
+          else begin
+            Thread.delay 0.01;
+            await_socket (tries - 1)
+          end
+      in
+      await_socket 500;
+      listening := true;
+      let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      fd := Some sock;
+      Unix.connect sock (Unix.ADDR_UNIX path);
+      let stream =
+        String.concat ""
+          (List.map
+             (fun id ->
+               Serve.Protocol.encode_request
+                 {
+                   id;
+                   circuit = Some "tree";
+                   deadline_ms = None;
+                   max_evals = None;
+                   body = Serve.Protocol.Analyze { sizes = Serve.Protocol.Committed };
+                 }
+               ^ "\n")
+             ids)
+      in
+      let off = ref 0 in
+      while !off < String.length stream do
+        let piece = if !off = 0 then 3000 else 1000 in
+        off := !off + Unix.write_substring sock stream !off (min piece (String.length stream - !off));
+        Thread.delay 0.002
+      done;
+      let chunk = Bytes.create 4096 in
+      while List.length (lines ()) < List.length ids do
+        match Unix.select [ sock ] [] [] 10. with
+        | [], _, _ -> Alcotest.fail "no reply within 10 s"
+        | _ ->
+            let n = Unix.read sock chunk 0 (Bytes.length chunk) in
+            if n = 0 then Alcotest.fail "daemon closed the connection early";
+            Buffer.add_subbytes received chunk 0 n
+      done);
+  List.iter
+    (fun (s, before) ->
+      let now = Sys.signal s before in
+      Alcotest.(check bool) "signal behaviour restored" true
+        (match (now, before) with
+        | Sys.Signal_handle f, Sys.Signal_handle g -> f == g
+        | Sys.Signal_handle _, _ | _, Sys.Signal_handle _ -> false
+        | _ -> now = before))
+    saved;
+  let replies = List.map decode (lines ()) in
+  Alcotest.(check bool) "one reply per request, in order" true
+    (List.map (fun (r : Serve.Protocol.response) -> r.id) replies = ids);
+  List.iter
+    (fun (r : Serve.Protocol.response) ->
+      match r.payload with
+      | Serve.Protocol.Analysis _ -> ()
+      | p -> Alcotest.failf "unexpected reply %a" Serve.Protocol.pp_payload p)
+    replies;
+  conservation_holds t
+
 (* ---- Soak (release-gated) ------------------------------------------------------ *)
 
 let soak_circuits = [| "tree"; "fig2"; "chain" |]
@@ -933,6 +1159,8 @@ let () =
           Alcotest.test_case "float bits round-trip" `Quick test_json_float_bits;
           Alcotest.test_case "values and parse errors" `Quick
             test_json_values_and_errors;
+          Seed_info.to_alcotest prop_number_rendering;
+          Seed_info.to_alcotest prop_scanner_spellings;
         ] );
       ( "protocol",
         [
@@ -964,6 +1192,7 @@ let () =
           Alcotest.test_case "typed failures" `Quick test_server_typed_failures;
           Alcotest.test_case "shed and drain" `Quick test_server_shed_and_drain;
           Alcotest.test_case "quarantine" `Quick test_server_quarantine;
+          Alcotest.test_case "socket framing" `Quick test_socket_framing;
         ] );
       ( "soak",
         [

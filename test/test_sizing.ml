@@ -568,6 +568,18 @@ let test_report_row_shape () =
   Alcotest.(check int) "six cells" 6 (List.length cells);
   Alcotest.(check string) "label" "sum S_i" (List.nth cells 0)
 
+(* An unconverged solve must not print like a certified result: its CPU
+   cell names the termination and carries the footnote mark. *)
+let test_report_marks_unconverged () =
+  let net = Generate.tree () in
+  let s = Engine.solve ~model net Objective.Min_area in
+  let cpu sol = List.nth (Report.row sol) 5 in
+  Alcotest.(check bool) "converged row unmarked" false (String.contains (cpu s) '*');
+  let stalled = { s with Engine.converged = false; termination = Nlp.Auglag.Stalled } in
+  Alcotest.(check string) "stalled row marked"
+    (Report.cpu_string s.Engine.cpu_time ^ " (stalled)*")
+    (cpu stalled)
+
 let test_report_speed_factors_order () =
   let net = Generate.tree () in
   let s = Engine.solve ~model net Objective.Min_area in
@@ -675,6 +687,7 @@ let () =
         [
           Alcotest.test_case "cpu string" `Quick test_report_cpu_string;
           Alcotest.test_case "row shape" `Quick test_report_row_shape;
+          Alcotest.test_case "unconverged row marked" `Quick test_report_marks_unconverged;
           Alcotest.test_case "speed factor order" `Quick test_report_speed_factors_order;
         ] );
     ]
